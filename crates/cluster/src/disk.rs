@@ -12,11 +12,10 @@
 //!   drive.
 
 use crate::clock::TimeBreakdown;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A simple disk throughput/latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Sequential bandwidth in bytes per second.
     pub bytes_per_sec: u64,

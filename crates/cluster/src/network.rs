@@ -7,11 +7,10 @@
 //! presets so the `ablation_network` bench can compare them.
 
 use crate::clock::TimeBreakdown;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A network fabric preset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fabric {
     /// 100 Mbit/s Fast Ethernet, ~0.2 ms latency.
     FastEthernet,
@@ -63,7 +62,7 @@ impl Fabric {
 
 /// A model of the cluster interconnect, including protocol efficiency and
 /// background load (the SMB "routine work" running on the other nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// The physical fabric.
     pub fabric: Fabric,
@@ -127,7 +126,7 @@ impl NetworkModel {
 /// top-of-rack uplinks. A transfer between two nodes of the same rack
 /// crosses the leaf only; a cross-rack transfer pays the leaf hop *and*
 /// the (slower, shared) uplink.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackNetwork {
     /// Intra-rack leaf switch (full bisection within the rack).
     pub leaf: NetworkModel,

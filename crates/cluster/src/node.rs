@@ -1,9 +1,7 @@
 //! Node specifications (paper Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node within a [`crate::topology::Cluster`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -13,7 +11,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Role a node plays in the two-layer McSD architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeRole {
     /// Host computing node — issues jobs, runs compute-intensive work.
     Host,
@@ -26,7 +24,7 @@ pub enum NodeRole {
 }
 
 /// Hardware description of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Identifier within the cluster.
     pub id: NodeId,

@@ -8,10 +8,8 @@
 //! every reported speedup — unchanged (see the
 //! `verdict_scales_with_input_invariantly` test in `mcsd-phoenix`).
 
-use serde::{Deserialize, Serialize};
-
 /// A byte-scale divisor applied uniformly to all paper sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Paper bytes per experiment byte.
     pub divisor: u64,

@@ -9,7 +9,6 @@
 
 use crate::clock::TimeBreakdown;
 use crate::network::NetworkModel;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Fraction of interconnect bandwidth the SMB routine work consumes in the
@@ -17,7 +16,7 @@ use std::time::Duration;
 pub const ROUTINE_LOAD: f64 = 0.10;
 
 /// An SMB message pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmbPattern {
     /// Two nodes exchange a message `rounds` times (latency/bandwidth
     /// probe).

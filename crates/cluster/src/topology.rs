@@ -5,10 +5,9 @@ use crate::disk::DiskModel;
 use crate::network::{NetworkModel, RackNetwork};
 use crate::node::{NodeId, NodeRole, NodeSpec};
 use crate::scale::Scale;
-use serde::{Deserialize, Serialize};
 
 /// A cluster: nodes plus the shared interconnect and disk models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// All nodes, in id order.
     pub nodes: Vec<NodeSpec>,
@@ -133,7 +132,7 @@ pub fn multi_sd_testbed(scale: Scale, sd_count: usize) -> Cluster {
 /// `rack_1x1x1_matches_paper_testbed_decisions` proptest in
 /// `mcsd-core/tests/des.rs` pins that the offload policy cannot tell the
 /// two apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RackSpec {
     /// Number of racks.
     pub racks: u32,
@@ -220,7 +219,7 @@ impl RackSpec {
 /// A built rack-scale cluster: the flat node list (as a [`Cluster`], so
 /// every existing per-node model applies unchanged) plus the two-tier
 /// [`RackNetwork`] and the spec that shaped it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackTopology {
     /// The shape this topology was built from.
     pub spec: RackSpec,

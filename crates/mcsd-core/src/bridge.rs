@@ -13,8 +13,8 @@ use crate::modules::{MatMulModule, StringMatchModule, WordCountModule};
 use mcsd_cluster::{Cluster, NfsShare, NodeId, TimeBreakdown};
 use mcsd_obs::Tracer;
 use mcsd_smartfam::{
-    BatchConfig, BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, FaultInjector,
-    HostClient, ModuleRegistry, ReplicaConfig, ResilienceStats, RetryPolicy, WindowConfig,
+    BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, FaultInjector, HostClient,
+    ModuleRegistry, ReplicaConfig, ResilienceStats, RetryPolicy, WindowConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -41,7 +41,6 @@ pub struct SdNodeServer {
     max_queued: usize,
     tracer: Tracer,
     replication: Option<ReplicaConfig>,
-    batch: Option<BatchConfig>,
 }
 
 impl SdNodeServer {
@@ -113,32 +112,6 @@ impl SdNodeServer {
         tracer: Tracer,
         replication: Option<ReplicaConfig>,
     ) -> Result<SdNodeServer, McsdError> {
-        SdNodeServer::start_batched(
-            cluster,
-            injector,
-            max_in_flight,
-            max_queued,
-            tracer,
-            replication,
-            None,
-        )
-    }
-
-    /// Like [`SdNodeServer::start_replicated`], optionally switching the
-    /// daemon into batched dispatch (DESIGN.md §18): queued requests are
-    /// executed by the seeded multi-worker pool and their responses are
-    /// committed as coalesced one-fsync append batches. The batch shape
-    /// survives [`SdNodeServer::restart_daemon`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_batched(
-        cluster: &Cluster,
-        injector: FaultInjector,
-        max_in_flight: usize,
-        max_queued: usize,
-        tracer: Tracer,
-        replication: Option<ReplicaConfig>,
-        batch: Option<BatchConfig>,
-    ) -> Result<SdNodeServer, McsdError> {
         let sd = cluster.sd().clone();
         let host_id = cluster.host().id;
         let share = NfsShare::temp(sd.id, cluster.network, cluster.disk)?;
@@ -158,9 +131,6 @@ impl SdNodeServer {
         if let Some(replica) = replication {
             config = config.with_replication(replica);
         }
-        if let Some(b) = batch {
-            config = config.with_batching(b);
-        }
         let daemon = Daemon::new(config, registry.clone()).spawn()?;
         Ok(SdNodeServer {
             share,
@@ -173,7 +143,6 @@ impl SdNodeServer {
             max_queued,
             tracer,
             replication,
-            batch,
         })
     }
 
@@ -194,8 +163,7 @@ impl SdNodeServer {
     }
 
     /// Batch-commit counters of the current daemon incarnation (all zero
-    /// when the daemon runs lockstep, i.e. was started without a
-    /// [`BatchConfig`], or after [`SdNodeServer::stop`]).
+    /// after [`SdNodeServer::stop`]).
     pub fn batch_stats(&self) -> BatchStats {
         self.daemon
             .as_ref()
@@ -255,9 +223,6 @@ impl SdNodeServer {
             .with_tracer(self.tracer.clone());
         if let Some(replica) = self.replication {
             config = config.with_replication(replica);
-        }
-        if let Some(b) = self.batch {
-            config = config.with_batching(b);
         }
         let daemon = Daemon::new(config, self.registry.clone()).spawn()?;
         self.daemon = Some(daemon);
@@ -491,16 +456,7 @@ mod tests {
     #[test]
     fn batched_node_serves_a_pipelined_window() {
         let cluster = cluster();
-        let server = SdNodeServer::start_batched(
-            &cluster,
-            FaultInjector::disabled(),
-            64,
-            1024,
-            Tracer::disabled(),
-            None,
-            Some(BatchConfig::default()),
-        )
-        .unwrap();
+        let server = SdNodeServer::start(&cluster).unwrap();
         let mut calls = Vec::new();
         let mut expect = Vec::new();
         for i in 0..5u64 {

@@ -841,7 +841,7 @@ impl ReplicationRoundsScenario {
 /// (DESIGN.md §18): `requests` pre-staged echo calls are chunked into
 /// coalesced append batches, so the sweep enumerates exactly the
 /// batch-boundary fault points — every per-request dispatch slot plus
-/// one [`FaultSite::BatchAppend`] point per batch commit. The scenario
+/// one [`FaultSite::SdAppend`] point per batch commit. The scenario
 /// recovers the way the stack is designed to: an injected crash is
 /// healed by a replacement incarnation on the *same* injector (replay
 /// answers the uncommitted suffix), and a response lost to a corrupt
@@ -910,10 +910,10 @@ impl ChaosScenario for BatchedEchoScenario {
     /// Narrowed to the batch-boundary matrix: the canonical dispatch
     /// actions, and a mid-frame tear (7/16 — 8/16 can land exactly on a
     /// frame boundary and tear nothing) plus a one-byte corruption at
-    /// the batch-append site.
+    /// the response-commit site.
     fn actions(&self, site: FaultSite) -> Vec<FaultAction> {
         match site {
-            FaultSite::BatchAppend => vec![
+            FaultSite::SdAppend => vec![
                 FaultAction::Torn { keep_sixteenths: 7 },
                 FaultAction::Corrupt { xor_mask: 0x20 },
             ],

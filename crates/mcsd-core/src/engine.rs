@@ -639,7 +639,8 @@ impl Engine {
     /// Drive the full per-call state machine for one typed offload call:
     /// decide → breaker/load gate → memory admission → stage + dispatch →
     /// breaker feedback → decode, degrading to [`OffloadCall::run_host`]
-    /// on steer, host placement, or terminal SD failure.
+    /// on steer, host placement, or terminal SD failure. A one-element
+    /// [`Engine::run_calls`].
     ///
     /// `queued_load` reads the daemon heartbeat's queued-request count
     /// (`None` when no heartbeat is available); `dispatch` performs one
@@ -648,54 +649,22 @@ impl Engine {
     pub fn run_call<C: OffloadCall>(
         &self,
         call: &mut C,
-        queued_load: impl FnOnce() -> Option<u64>,
+        queued_load: impl Fn() -> Option<u64>,
         dispatch: impl FnOnce(&str, &[String]) -> SdDispatch,
     ) -> Result<(C::Output, TimeBreakdown), McsdError> {
-        let job = call.job();
-        let profile = call.profile();
-        let mut decision = self.decide(&profile);
-        if let OffloadDecision::SmartStorage { sd_index } = decision {
-            if !self.sd_admitted(job, sd_index, queued_load) {
-                decision = OffloadDecision::SteeredToHost;
-            }
-        }
-        if let OffloadDecision::SmartStorage { sd_index } = decision {
-            let partition = match call.admission() {
-                Some(request) => self.admit_memory(job, &request)?,
-                None => None,
-            };
-            let (mut params, staging) = call.prepare()?;
-            // Protocol rule, one copy here: the admission-planned partition
-            // parameter always rides as the final module parameter.
-            params.extend(partition);
-            let (outcome, mut stats) = dispatch(job, &params);
-            // The daemon owns corrupt-skip accounting (DESIGN.md §10/§12):
-            // the host's recovering reader skips the same corrupt bytes in
-            // the same shared log the daemon's scan skips, and
-            // `resilience_report` merges the daemon's count at read time —
-            // absorbing the host's count here would double it. Per-call
-            // outcomes still carry the host-side count for direct
-            // `HostClient` callers.
-            stats.corrupt_skipped_bytes = 0;
-            self.stats.lock().absorb(&stats);
-            self.breaker_feedback(job, sd_index, outcome.is_ok());
-            match outcome {
-                Ok((payload, cost)) => {
-                    self.note_decision(job, decision);
-                    let out = call.decode(&payload)?;
-                    return Ok((out, staging + cost));
-                }
-                Err(e) => decision = self.degrade(job, e)?,
-            }
-        }
-        self.note_decision(job, decision);
-        call.run_host()
+        // The window is only dispatched when non-empty, so it holds
+        // exactly this call's request.
+        let mut out = self.run_calls(std::slice::from_mut(call), queued_load, |window| {
+            let (module, params) = &window[0];
+            vec![dispatch(module, params)]
+        });
+        // tidy:allow(MCSD002) -- construction invariant: run_calls returns exactly one result per call, and this batch holds one call
+        out.pop().expect("one call, one result")
     }
 
-    /// Drive a *batch* of typed calls through the same per-call state
-    /// machine as [`Engine::run_call`], but with the SD dispatches
-    /// grouped into one pipelined window instead of N lockstep round
-    /// trips (DESIGN.md §18).
+    /// Drive a *batch* of typed calls through the per-call state machine
+    /// (see [`Engine::run_call`]), with the SD dispatches grouped into one
+    /// pipelined window instead of N lockstep round trips (DESIGN.md §18).
     ///
     /// Every gate still applies **per request inside the batch**: each
     /// call pays its own breaker admission + heartbeat-load check, its
@@ -734,9 +703,8 @@ impl Engine {
         let mut window: Vec<(String, Vec<String>)> = Vec::new();
         let mut plans: Vec<Plan> = Vec::with_capacity(calls.len());
 
-        // Phase 1 — per-request gating, in submit order. Mirrors the top
-        // of `run_call` exactly: decide → breaker/load gate → memory
-        // admission → prepare.
+        // Phase 1 — per-request gating, in submit order: decide →
+        // breaker/load gate → memory admission → prepare.
         for (i, call) in calls.iter_mut().enumerate() {
             let job = call.job();
             let profile = call.profile();
@@ -763,6 +731,9 @@ impl Engine {
             };
             match call.prepare() {
                 Ok((mut params, staging)) => {
+                    // Protocol rule, one copy here: the admission-planned
+                    // partition parameter always rides as the final module
+                    // parameter.
                     params.extend(partition);
                     let wx = window.len();
                     window.push((job.to_string(), params));
@@ -792,7 +763,7 @@ impl Engine {
         );
 
         // Phase 3 — per-request completion, in submit order: stats,
-        // breaker feedback, decode / degrade — the bottom of `run_call`.
+        // breaker feedback, decode / degrade.
         for (i, call) in calls.iter_mut().enumerate() {
             let job = call.job();
             match plans[i] {
@@ -805,8 +776,14 @@ impl Engine {
                     let (outcome, mut stats) =
                         // tidy:allow(MCSD002) -- construction invariant: each windowed plan owns exactly one dispatch slot, assigned a few lines up; a double-take is a planner bug that must fail loudly
                         dispatched[wx].take().expect("window entry consumed once");
-                    // Same ownership rule as `run_call`: the daemon owns
-                    // corrupt-skip accounting (DESIGN.md §10/§12).
+                    // The daemon owns corrupt-skip accounting (DESIGN.md
+                    // §10/§12): the host's recovering reader skips the same
+                    // corrupt bytes in the same shared log the daemon's
+                    // scan skips, and `resilience_report` merges the
+                    // daemon's count at read time — absorbing the host's
+                    // count here would double it. Per-call outcomes still
+                    // carry the host-side count for direct `HostClient`
+                    // callers.
                     stats.corrupt_skipped_bytes = 0;
                     self.stats.lock().absorb(&stats);
                     self.breaker_feedback(job, slot, outcome.is_ok());

@@ -30,8 +30,7 @@ use mcsd_obs::names::{SPAN_CLUSTER_FETCH, SPAN_CLUSTER_STAGE};
 use mcsd_obs::Tracer;
 use mcsd_phoenix::Job;
 use mcsd_smartfam::{
-    BatchConfig, BatchStats, FaultInjector, ReplicaConfig, ResilienceStats, RetryPolicy,
-    WindowConfig,
+    BatchStats, FaultInjector, ReplicaConfig, ResilienceStats, RetryPolicy, WindowConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -87,12 +86,6 @@ pub struct ResilienceConfig {
     /// restarted daemon merges mirror-only frames back into the primary
     /// log before replay. `None` (the default) runs unreplicated.
     pub replication: Option<ReplicaConfig>,
-    /// Batched daemon dispatch (DESIGN.md §18): when set, the daemon
-    /// coalesces queued responses into one-fsync append batches executed
-    /// by the seeded multi-worker pool, and the framework's windowed
-    /// entry points ([`McsdFramework::wordcount_window`]) can pipeline
-    /// their calls against it. `None` (the default) runs lockstep.
-    pub batch: Option<BatchConfig>,
 }
 
 impl Default for ResilienceConfig {
@@ -109,7 +102,6 @@ impl Default for ResilienceConfig {
             min_fragment_bytes: DEFAULT_MIN_FRAGMENT_BYTES,
             tracer: Tracer::disabled(),
             replication: None,
-            batch: None,
         }
     }
 }
@@ -137,14 +129,13 @@ impl McsdFramework {
         policy: OffloadPolicy,
         resilience: ResilienceConfig,
     ) -> Result<McsdFramework, McsdError> {
-        let server = SdNodeServer::start_batched(
+        let server = SdNodeServer::start_replicated(
             &cluster,
             resilience.injector.clone(),
             resilience.max_in_flight,
             resilience.max_queued,
             resilience.tracer.clone(),
             resilience.replication,
-            resilience.batch,
         )?;
         let client = server.host_client();
         // One breaker slot: the framework offloads to one live SD node.
@@ -193,8 +184,7 @@ impl McsdFramework {
 
     /// Batched/pipelined counters merged at read time: the daemon's
     /// batch-commit fields plus the window-side fields the engine
-    /// absorbed from pipelined dispatches (DESIGN.md §13/§18). All zero
-    /// for a lockstep framework.
+    /// absorbed from pipelined dispatches (DESIGN.md §13/§18).
     pub fn batch_stats(&self) -> BatchStats {
         self.engine.batch_report(&self.server.batch_stats())
     }
@@ -285,9 +275,9 @@ impl McsdFramework {
     /// (DESIGN.md §18): every call still pays its own placement decision,
     /// breaker/load gate, memory admission, and breaker feedback inside
     /// [`Engine::run_calls`], but the admitted calls share one in-flight
-    /// window instead of `files.len()` lockstep round trips — and a
-    /// batched daemon ([`ResilienceConfig::batch`]) coalesces their
-    /// response appends into one-fsync batch commits. Results come back
+    /// window instead of `files.len()` lockstep round trips — and the
+    /// daemon coalesces their response appends into one-fsync batch
+    /// commits. Results come back
     /// in `files` order; per-call failures degrade individually.
     pub fn wordcount_window(
         &self,
@@ -697,11 +687,7 @@ mod tests {
 
     #[test]
     fn batched_framework_pipelines_wordcount_windows() {
-        let resilience = ResilienceConfig {
-            batch: Some(BatchConfig::default()),
-            ..ResilienceConfig::default()
-        };
-        let fw = McsdFramework::start_with(cluster(), OffloadPolicy::AlwaysSd, resilience).unwrap();
+        let fw = McsdFramework::start(cluster(), OffloadPolicy::AlwaysSd).unwrap();
         let mut files = Vec::new();
         let mut expect = Vec::new();
         for i in 0..6u64 {

@@ -9,10 +9,9 @@
 //! otherwise.
 
 use mcsd_cluster::{NodeRole, NodeSpec};
-use serde::{Deserialize, Serialize};
 
 /// Characteristics of a job the policy decides about.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
     /// Job name (diagnostics).
     pub name: String,
@@ -37,7 +36,7 @@ impl JobProfile {
 pub const DATA_INTENSITY_THRESHOLD: f64 = 100.0;
 
 /// Where the framework decides to run a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadDecision {
     /// Run on the host computing node.
     Host,
@@ -60,7 +59,7 @@ pub enum OffloadDecision {
 }
 
 /// Offload policies (the `ablation_offload_policy` bench compares them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadPolicy {
     /// Never offload: everything on the host (the paper's "Host only"
     /// scenario).

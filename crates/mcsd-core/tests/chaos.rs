@@ -68,12 +68,12 @@ fn batched_echo_sweep_is_clean() {
     let dir = temp_dir("batched");
     let scenario = BatchedEchoScenario::new(7, &dir);
     let report = chaos::run_sweep(&scenario, 7, &Tracer::disabled()).unwrap();
-    // Six per-request dispatch slots plus one batch-append point per
+    // Six per-request dispatch slots plus one response-commit point per
     // coalesced commit (two batches of three).
     let batched = &report.segments[0];
     assert_eq!(
         batched.points,
-        vec![(FaultSite::Dispatch, 6), (FaultSite::BatchAppend, 2)]
+        vec![(FaultSite::SdAppend, 2), (FaultSite::Dispatch, 6)]
     );
     // 6 dispatch points × 3 actions + 2 commit points × 2 actions.
     assert_eq!(report.cases, 6 * 3 + 2 * 2);

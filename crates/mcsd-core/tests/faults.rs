@@ -307,7 +307,7 @@ fn seed_sweep_covers_every_fault_kind() {
 /// [`FaultAction`] variant is reachable by at least one plan drawn from
 /// the seeded fault/replication matrices, completed by the chaos sweep's
 /// per-site action sets for the sites the seeded generators deliberately
-/// never draw (`SdPoll`, `Span`, `BatchAppend`). If a new site or action variant is
+/// never draw (`SdPoll`, `Span`). If a new site or action variant is
 /// added without a generator arm or a `default_actions` entry, this test
 /// names the hole.
 #[test]
@@ -361,16 +361,12 @@ fn fault_space_is_exhaustively_reachable() {
     assert_eq!(sites, all_sites, "unreachable fault site(s)");
     assert_eq!(actions, all_actions, "unreachable fault action variant(s)");
 
-    // The seeded matrices alone must cover all but the three sweep-only
+    // The seeded matrices alone must cover all but the two sweep-only
     // sites — pins the generators' scope so a dropped arm is caught here
-    // rather than silently narrowing the nightly seed sweep. The
-    // batch-append site is sweep-only by design: the classic matrices
-    // predate batching and their plans must keep reproducing byte-for-
-    // byte, so the site is reached through `default_actions` instead.
+    // rather than silently narrowing the nightly seed sweep.
     let mut seeded_expected = all_sites;
     seeded_expected.remove("sd_poll");
     seeded_expected.remove("span");
-    seeded_expected.remove("batch_append");
     assert_eq!(
         seeded_sites, seeded_expected,
         "seeded-matrix site coverage drifted"

@@ -76,7 +76,7 @@ pub const EVENT_SD_REQUEST: &str = "sd.request";
 pub const EVENT_SD_REPLAY: &str = "sd.replay";
 /// Daemon dispatched a request to its module.
 pub const EVENT_SD_DISPATCH: &str = "sd.dispatch";
-/// Daemon queued a request behind busy execution slots.
+/// Daemon admitted a request into its batch queue.
 pub const EVENT_SD_QUEUE: &str = "sd.queue";
 /// Daemon shed a request with a typed `Overloaded` reply.
 pub const EVENT_SD_SHED: &str = "sd.shed";

@@ -1,13 +1,12 @@
 //! Runtime configuration.
 
 use crate::memory::MemoryModel;
-use serde::{Deserialize, Serialize};
 
 /// How the final output pairs of a job are ordered.
 ///
 /// Phoenix sorts the final output; Word Count, for instance, prints words
 /// "in accordance with the frequency in decreasing order" (paper §V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputOrder {
     /// Ascending by key (Phoenix's default).
     ByKey,

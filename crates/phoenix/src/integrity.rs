@@ -8,10 +8,8 @@
 //! the programmer" and moves the cut there, so no record ever spans two
 //! fragments.
 
-use serde::{Deserialize, Serialize};
-
 /// The delimiter class a boundary may legally be placed after.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Delimiter {
     /// ASCII whitespace: space, tab, newline, carriage return. The paper's
     /// default ("the first space, return…").
@@ -39,7 +37,7 @@ impl Delimiter {
 }
 
 /// How a proposed fragment boundary is legalized.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IntegrityCheck {
     /// Advance the cut to just past the next delimiter byte (Fig. 7's
     /// "Starting Point ++" loop). The extra bytes are the paper's "extra

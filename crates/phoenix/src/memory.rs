@@ -23,8 +23,6 @@
 //! scales the paper's gigabyte workloads down by a constant factor, which
 //! leaves every ratio in this model unchanged.
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of node memory beyond which the stock Phoenix runtime fails
 /// outright. Derived from the paper's observation that 1.5 GB inputs fail
 /// on 2 GB nodes.
@@ -35,7 +33,7 @@ pub const DEFAULT_HARD_LIMIT_FRACTION: f64 = 0.75;
 pub const DEFAULT_AVAILABLE_FRACTION: f64 = 0.90;
 
 /// A model of the memory of the node a job runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Total physical memory of the node, in bytes.
     pub total_bytes: u64,

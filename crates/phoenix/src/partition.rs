@@ -25,13 +25,12 @@ use crate::stats::JobStats;
 use crate::stopwatch::Stopwatch;
 use mcsd_obs::names::SPAN_PHOENIX_PARTITIONED;
 use mcsd_obs::ClockDomain;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
 
 /// Out-of-core partitioning parameters — the `[partition-size]` argument of
 /// the paper's `wordcount [data-file] [partition-size]` example.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Target fragment size in bytes (before integrity-check displacement).
     pub fragment_bytes: usize,

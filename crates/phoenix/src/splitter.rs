@@ -5,11 +5,10 @@
 //! [`IntegrityCheck`] so that no word/line/record spans two chunks.
 
 use crate::integrity::{Delimiter, IntegrityCheck};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Describes how a job's input may be cut.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitSpec {
     /// Boundary legalization rule.
     pub integrity: IntegrityCheck,

@@ -1,12 +1,13 @@
-//! Batched, pipelined smartFAM throughput mode (DESIGN.md §18).
+//! Batched, pipelined smartFAM execution (DESIGN.md §18).
 //!
-//! The lockstep protocol pays one host→SD round trip and one durable
-//! append per call. This module holds the shared configuration and the
-//! counter family for the throughput refactor that lifts both costs:
+//! A lockstep caller pays one host→SD round trip and one durable append
+//! per call. This module holds the shared configuration and the counter
+//! family for the two mechanisms that amortize both costs:
 //!
-//! * the daemon coalesces queued work into **append batches** committed
-//!   with a single fsync ([`crate::log_file::LogFile::append_batch`]),
-//!   executed by a multi-worker pool that keeps serial-per-module order
+//! * the daemon's one executor coalesces queued work into **append
+//!   batches** committed with a single fsync
+//!   ([`crate::log_file::LogFile::append_batch`]), executed by a
+//!   multi-worker pool that keeps serial-per-module order
 //!   (the shard-per-owner model — each module is owned by exactly one
 //!   worker, so no two requests of one module ever run concurrently);
 //! * the host keeps a **pipelined in-flight window** per host↔SD pair
@@ -19,7 +20,7 @@
 
 use std::time::Duration;
 
-/// Configuration for the daemon's batched multi-worker dispatch path.
+/// Shape of the daemon's batched multi-worker executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Dispatch workers. Modules are assigned to workers by a seeded

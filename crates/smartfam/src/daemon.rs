@@ -11,6 +11,15 @@
 //! the beginning, answering any request that never received a response —
 //! so a daemon crash/restart does not lose offloaded work.
 //!
+//! One executor (DESIGN.md §18): every admitted request waits in a FIFO
+//! queue; whenever no batch is running the next batch forms from the
+//! queue front (up to `min(max_batch, max_in_flight)` requests), runs on
+//! the seeded shard-per-owner worker pool, and is answered through one
+//! coalesced, fsynced append per module log. A lone caller simply
+//! produces batches of one. The loop thread never blocks on a module: it
+//! waits on the running batch's result channel one poll interval at a
+//! time, admitting arrivals and refreshing the heartbeat in between.
+//!
 //! Overload protection: admission is bounded by `max_in_flight` running
 //! invocations plus `max_queued` waiting ones. A request beyond both
 //! limits is *shed* — answered immediately with a typed
@@ -28,7 +37,8 @@ use crate::faults::{DispatchFault, FaultInjector, QUARANTINE_TOKEN};
 use crate::log_file::{LogFile, LogRole};
 use crate::module::{ModuleRegistry, ProcessingModule};
 use crate::replica::{recover_group, MirrorSet, ReplicaConfig};
-use crate::watch::{FileWatcher, WatchConfig, WatchEventKind};
+use crate::watch::{FileWatcher, WatchConfig, WatchEvent, WatchEventKind};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use mcsd_obs::names::{
     EVENT_SD_BATCH_COMMIT, EVENT_SD_BATCH_RETRY, EVENT_SD_COMPLETE, EVENT_SD_DISPATCH,
     EVENT_SD_EXPIRED, EVENT_SD_HEARTBEAT, EVENT_SD_POLL, EVENT_SD_QUARANTINE,
@@ -37,7 +47,6 @@ use mcsd_obs::names::{
 };
 use mcsd_obs::{ClockDomain, Tracer, TrackId};
 use mcsd_phoenix::{wall_clock_ms, Stopwatch};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,9 +68,6 @@ pub struct DaemonConfig {
     pub watch: WatchConfig,
     /// How often the heartbeat file is refreshed.
     pub heartbeat_interval: Duration,
-    /// Run each module invocation on its own thread, so concurrent
-    /// requests to different modules overlap.
-    pub dispatch_parallel: bool,
     /// A module failing this many *consecutive* invocations is
     /// quarantined: later requests get an immediate error response
     /// carrying [`QUARANTINE_TOKEN`] so hosts fail over instead of
@@ -88,13 +94,10 @@ pub struct DaemonConfig {
     /// corrupted response append is recovered from a replica instead of
     /// re-executed (DESIGN.md §15).
     pub replication: Option<ReplicaConfig>,
-    /// Batched dispatch (off by default — `None` keeps the lockstep
-    /// request/response path byte-identical to previous releases). When
-    /// set, admitted requests are drained in batches of up to
-    /// `max_batch`, executed by a seeded multi-worker pool that keeps
-    /// serial-per-module order, and answered through coalesced
-    /// one-fsync append batches (DESIGN.md §18).
-    pub batch: Option<BatchConfig>,
+    /// Shape of the batched executor (DESIGN.md §18): worker count,
+    /// batch cap, and the seed of the module→worker assignment that
+    /// keeps serial-per-module order.
+    pub batch: BatchConfig,
 }
 
 impl DaemonConfig {
@@ -104,7 +107,6 @@ impl DaemonConfig {
             log_dir: log_dir.into(),
             watch: WatchConfig::default(),
             heartbeat_interval: Duration::from_millis(50),
-            dispatch_parallel: true,
             quarantine_threshold: 3,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
             max_queued: DEFAULT_MAX_QUEUED,
@@ -112,7 +114,7 @@ impl DaemonConfig {
             injector: FaultInjector::disabled(),
             tracer: Tracer::disabled(),
             replication: None,
-            batch: None,
+            batch: BatchConfig::default(),
         }
     }
 
@@ -141,9 +143,9 @@ impl DaemonConfig {
         self
     }
 
-    /// Enable the batched multi-worker dispatch path (builder style).
+    /// Set the batched executor's shape (builder style).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
-        self.batch = Some(batch);
+        self.batch = batch;
         self
     }
 }
@@ -294,32 +296,6 @@ struct ModuleHealth {
     quarantined: bool,
 }
 
-/// Record one invocation result; flips the module into quarantine when it
-/// crosses `threshold` consecutive failures.
-fn note_result(
-    health: &Mutex<HashMap<String, ModuleHealth>>,
-    stats: &StatsInner,
-    trace: &(Tracer, TrackId),
-    name: &str,
-    failed: bool,
-    threshold: u32,
-) {
-    let mut map = health.lock();
-    let entry = map.entry(name.to_string()).or_default();
-    if failed {
-        entry.consecutive_failures += 1;
-        if !entry.quarantined && threshold > 0 && entry.consecutive_failures >= threshold {
-            entry.quarantined = true;
-            stats.quarantined.fetch_add(1, Ordering::Relaxed);
-            trace
-                .0
-                .event(trace.1, EVENT_SD_QUARANTINE, &[("module", name)]);
-        }
-    } else {
-        entry.consecutive_failures = 0;
-    }
-}
-
 /// The daemon, ready to spawn.
 pub struct Daemon {
     config: DaemonConfig,
@@ -383,8 +359,7 @@ impl DaemonHandle {
         self.stats.snapshot()
     }
 
-    /// Batched-dispatch counter snapshot (all zero unless
-    /// [`DaemonConfig::batch`] is set). Window-side fields are always
+    /// Batch-commit counter snapshot. Window-side fields are always
     /// zero here — they belong to the pipelined host client.
     pub fn batch_stats(&self) -> BatchStats {
         self.batch.snapshot()
@@ -426,8 +401,12 @@ struct LogState {
 /// replay.
 type ReplayBarrier = Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>;
 
+/// A module run's outcome: the payload, or the error message (a module
+/// panic included) the response carries.
+type ModuleResult = Result<Vec<u8>, String>;
+
 /// One worker bucket entry in the batched dispatch pool: the request's
-/// index within its chunk, the module to run, and its parameters.
+/// index within its batch, the module to run, and its parameters.
 type BucketedRun = (usize, Arc<dyn ProcessingModule>, Vec<String>);
 
 /// One admitted-but-not-yet-dispatched request. The frame itself already
@@ -440,21 +419,41 @@ struct QueuedRequest {
     expires_unix_ms: u64,
 }
 
+/// One request of a formed batch. A phase-1 rejection carries its
+/// `frame` at once; a module run gets its `result` from the pool.
+struct Planned {
+    path: PathBuf,
+    name: String,
+    id: u64,
+    frame: Option<Frame>,
+    result: Option<ModuleResult>,
+}
+
+/// The batch out on the worker pool (at most one at a time).
+struct RunningBatch {
+    id: u64,
+    planned: Vec<Planned>,
+    /// Module runs not yet reported — the in-flight count admission and
+    /// the heartbeat read.
+    outstanding: usize,
+    /// Workers send `(index in batch, result)` here.
+    results: Receiver<(usize, ModuleResult)>,
+}
+
 /// Everything the dispatch side of the daemon owns: log cursors, the
-/// admission queue, and the shared handles worker threads need.
+/// admission queue, the running batch, and module health. Only the loop
+/// thread touches it; workers just compute and report on a channel.
 struct DaemonCtx {
     config: DaemonConfig,
     registry: ModuleRegistry,
     stats: Arc<StatsInner>,
     stop: Arc<AtomicBool>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    health: Arc<Mutex<HashMap<String, ModuleHealth>>>,
-    in_flight: Arc<AtomicU64>,
+    health: HashMap<String, ModuleHealth>,
     logs: HashMap<PathBuf, LogState>,
     queue: VecDeque<QueuedRequest>,
+    running: Option<RunningBatch>,
     /// Tracer handle plus the `sd.daemon` track it emits on.
     trace: (Tracer, TrackId),
-    /// Daemon-side batch counters (only mutated on the batched path).
     batch_stats: Arc<BatchInner>,
     /// Monotonic batch id; starts at 0 so the first formed batch is 1
     /// (the codec's batch-framing word treats 0 as "unbatched").
@@ -480,11 +479,10 @@ fn daemon_loop(
         registry,
         stats,
         stop,
-        workers: Arc::new(Mutex::new(Vec::new())),
-        health: Arc::new(Mutex::new(HashMap::new())),
-        in_flight: Arc::new(AtomicU64::new(0)),
+        health: HashMap::new(),
         logs: HashMap::new(),
         queue: VecDeque::new(),
+        running: None,
         trace: (tracer, track),
         batch_stats,
         batch_seq: 0,
@@ -508,9 +506,10 @@ fn daemon_loop(
         }
     }
 
-    // Startup replay: answer pending requests left over from a previous
+    // Startup replay: queue pending requests left over from a previous
     // daemon incarnation. Sorted so multi-log replay admits in a stable
-    // order regardless of directory-iteration order.
+    // order regardless of directory-iteration order. No batch forms
+    // until the whole backlog is queued, so a backlog is batched in full.
     if let Ok(entries) = std::fs::read_dir(&ctx.config.log_dir) {
         let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
         paths.sort();
@@ -529,7 +528,10 @@ fn daemon_loop(
         cvar.notify_all();
     }
 
-    while !ctx.stop.load(Ordering::Relaxed) {
+    // On stop, the running batch is still awaited and committed; queued
+    // requests stay unanswered in the log for the next incarnation's
+    // replay scan.
+    while !(ctx.stop.load(Ordering::Relaxed) && ctx.running.is_none()) {
         // Heartbeat (an injected stall suppresses the write, so the file
         // goes stale exactly the way a wedged daemon's would). Carries
         // the load snapshot hosts use for pressure-aware steering.
@@ -545,7 +547,7 @@ fn daemon_loop(
                 let record = HeartbeatRecord {
                     seq: heartbeat_seq,
                     load: Some(HeartbeatLoad {
-                        in_flight: ctx.in_flight.load(Ordering::Relaxed),
+                        in_flight: ctx.in_flight() as u64,
                         queued: ctx.queue.len() as u64,
                     }),
                 };
@@ -560,28 +562,18 @@ fn daemon_loop(
             }
             last_heartbeat = Some(Stopwatch::start());
         }
-        // Dispatch queued work into freed execution slots.
-        ctx.drain_queue();
-        // Wait for file events.
-        let Some(event) =
-            watcher.next_event(ctx.config.watch.poll_interval.max(Duration::from_millis(1)))
-        else {
-            continue;
-        };
-        if event.kind == WatchEventKind::Removed || !is_module_log(&event.path) {
-            continue;
+        ctx.form_batches();
+        let wait = ctx.config.watch.poll_interval.max(Duration::from_millis(1));
+        if ctx.running.is_some() {
+            // Never block on a module: wait one poll interval at most,
+            // then admit (or shed) whatever arrived meanwhile.
+            ctx.await_batch(wait);
+            for event in watcher.events().try_iter() {
+                ctx.on_event(&event);
+            }
+        } else if let Some(event) = watcher.next_event(wait) {
+            ctx.on_event(&event);
         }
-        let path = event.path;
-        ctx.process_log(&path, false);
-        ctx.drain_queue();
-    }
-
-    // Drain in-flight module invocations before exiting. (Queued but
-    // never-dispatched requests stay unanswered in the log; the next
-    // incarnation's replay scan picks them up.)
-    let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *ctx.workers.lock());
-    for h in handles {
-        let _ = h.join();
     }
 }
 
@@ -615,9 +607,28 @@ fn worker_for(seed: u64, name: &str, workers: usize) -> usize {
     (z % workers.max(1) as u64) as usize
 }
 
+/// Run one module, converting a panic into an error result: a panicking
+/// module must neither kill its worker silently nor leave the host
+/// waiting forever.
+fn run_module(module: &dyn ProcessingModule, params: &[String]) -> ModuleResult {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| module.invoke(params))) {
+        Ok(Ok(payload)) => Ok(payload),
+        Ok(Err(e)) => Err(e.message),
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "module panicked".into());
+            Err(format!("module panicked: {msg}"))
+        }
+    }
+}
+
 impl DaemonCtx {
-    fn slots_busy(&self) -> bool {
-        self.in_flight.load(Ordering::Relaxed) >= self.config.max_in_flight as u64
+    /// Module runs of the running batch not yet reported.
+    fn in_flight(&self) -> usize {
+        self.running.as_ref().map_or(0, |b| b.outstanding)
     }
 
     /// The mirror set for one module log, when replication is on.
@@ -627,8 +638,17 @@ impl DaemonCtx {
             .map(|rep| MirrorSet::for_log(path, rep.group_size))
     }
 
+    /// Feed one watcher event through the log scan and admission.
+    fn on_event(&mut self, event: &WatchEvent) {
+        if event.kind != WatchEventKind::Removed && is_module_log(&event.path) {
+            self.process_log(&event.path, false);
+        }
+    }
+
     /// Poll one module log and run every not-yet-handled request through
-    /// admission.
+    /// admission. Live (non-replay) admissions also form a batch at once
+    /// when the executor is idle, so the trace order of admission and
+    /// dispatch never depends on how the watcher grouped arrivals.
     fn process_log(&mut self, path: &Path, replay: bool) {
         self.trace
             .0
@@ -708,21 +728,17 @@ impl DaemonCtx {
                     .event(self.trace.1, EVENT_SD_REPLAY, &[("module", &req.name)]);
             }
             self.admit(req);
+            if !replay {
+                self.form_batches();
+            }
         }
     }
 
-    /// Admission control: dispatch now when a slot is free and nothing is
-    /// ahead in line, queue when the queue has room, shed otherwise.
-    ///
-    /// Batched mode never takes the dispatch-now fast path: the queue
-    /// doubles as the batch former, so every admitted request waits (at
-    /// most one loop turn) for its batch to fill. The shed bound is
-    /// unchanged.
+    /// Admission control: queue while running plus waiting requests stay
+    /// under `max_in_flight + max_queued`, shed otherwise.
     fn admit(&mut self, req: QueuedRequest) {
-        let batched = self.config.batch.is_some();
-        if !batched && !self.slots_busy() && self.queue.is_empty() {
-            self.dispatch(req);
-        } else if self.queue.len() < self.config.max_queued {
+        let capacity = self.config.max_in_flight + self.config.max_queued;
+        if self.in_flight() + self.queue.len() < capacity {
             self.trace
                 .0
                 .event(self.trace.1, EVENT_SD_QUEUE, &[("module", &req.name)]);
@@ -732,229 +748,37 @@ impl DaemonCtx {
             self.trace
                 .0
                 .event(self.trace.1, EVENT_SD_SHED, &[("module", &req.name)]);
-            if let Ok(writer) = LogFile::attach_at_start(&req.path) {
-                let writer = writer.with_faults(self.config.injector.clone(), LogRole::Daemon);
-                let response = Frame::response_overloaded(req.id, self.config.shed_retry_after);
-                let _ = writer.append(&response);
-                if let Some(mirrors) = self.mirrors_for(&req.path) {
-                    mirrors.append(&response);
-                }
-            }
+            let response = Frame::response_overloaded(req.id, self.config.shed_retry_after);
+            self.commit_log_batch(&req.path, &[response]);
         }
     }
 
-    /// Move queued requests into freed execution slots, FIFO. Batched
-    /// mode instead drains the queue in `max_batch`-sized chunks through
-    /// the multi-worker batch executor.
-    fn drain_queue(&mut self) {
-        if let Some(bcfg) = self.config.batch {
-            while !self.stop.load(Ordering::Relaxed) && !self.queue.is_empty() {
-                let n = bcfg.max_batch.max(1).min(self.queue.len());
-                let chunk: Vec<QueuedRequest> = self.queue.drain(..n).collect();
-                self.execute_batch(bcfg, chunk);
-            }
-            return;
-        }
-        while !self.stop.load(Ordering::Relaxed) && !self.slots_busy() {
-            let Some(req) = self.queue.pop_front() else {
-                break;
-            };
-            self.dispatch(req);
+    /// Work conservation: while no batch is running and requests are
+    /// queued, form the next batch from the queue front. A batch whose
+    /// every request was rejected in phase 1 commits at once, so the
+    /// loop continues with the next one.
+    fn form_batches(&mut self) {
+        while self.running.is_none() && !self.queue.is_empty() && !self.stop.load(Ordering::Relaxed)
+        {
+            let cap = self.config.batch.max_batch.min(self.config.max_in_flight);
+            let n = cap.max(1).min(self.queue.len());
+            let chunk: Vec<QueuedRequest> = self.queue.drain(..n).collect();
+            self.start_batch(chunk);
         }
     }
 
-    /// Run one admitted request: deadline check, quarantine check,
-    /// registry lookup, injected faults, then the module itself (on a
-    /// worker thread when `dispatch_parallel`).
-    fn dispatch(&mut self, req: QueuedRequest) {
-        let QueuedRequest {
-            path,
-            name,
-            id,
-            params,
-            expires_unix_ms,
-        } = req;
-        let Ok(writer) = LogFile::attach_at_start(&path) else {
-            // Cannot open a writer to respond on: count the failure and
-            // let the host's timeout surface it.
-            self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let writer = writer.with_faults(self.config.injector.clone(), LogRole::Daemon);
-        let mirrors = self.mirrors_for(&path);
-        let respond = |response: &Frame| {
-            let _ = writer.append(response);
-            if let Some(m) = &mirrors {
-                m.append(response);
-            }
-        };
-        // Deadline check at dequeue: the caller has already given up, so
-        // the request is dropped — counted, answered, never executed.
-        if expires_unix_ms != 0 && wall_clock_ms() >= expires_unix_ms {
-            self.stats.expired.fetch_add(1, Ordering::Relaxed);
-            self.trace
-                .0
-                .event(self.trace.1, EVENT_SD_EXPIRED, &[("module", &name)]);
-            respond(&Frame::response_err(
-                id,
-                "deadline expired before dispatch; request dropped",
-            ));
-            return;
-        }
-        // Poison-module quarantine: refuse fast with a distinguishable
-        // message so the host fails over instead of waiting out its
-        // deadline.
-        if self.health.lock().get(&name).is_some_and(|h| h.quarantined) {
-            self.stats
-                .quarantine_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            self.trace.0.event(
-                self.trace.1,
-                EVENT_SD_QUARANTINE_REJECTED,
-                &[("module", &name)],
-            );
-            respond(&Frame::response_err(
-                id,
-                &format!(
-                    "module {name:?} {QUARANTINE_TOKEN} {} consecutive failures",
-                    self.config.quarantine_threshold
-                ),
-            ));
-            return;
-        }
-        let Some(module) = self.registry.get(&name) else {
-            self.stats.unknown_module.fetch_add(1, Ordering::Relaxed);
-            self.trace
-                .0
-                .event(self.trace.1, EVENT_SD_UNKNOWN_MODULE, &[("module", &name)]);
-            respond(&Frame::response_err(
-                id,
-                &format!("no module registered under {name:?}"),
-            ));
-            return;
-        };
-        self.trace
-            .0
-            .event(self.trace.1, EVENT_SD_DISPATCH, &[("module", &name)]);
-        // Injected dispatch faults: crash (exit the daemon loop without
-        // answering) or a forced module failure.
-        match self.config.injector.on_dispatch() {
-            Some(DispatchFault::CrashBefore) => {
-                self.stop.store(true, Ordering::Relaxed);
-                return;
-            }
-            Some(DispatchFault::CrashAfter) => {
-                // Execute the module, then die before the response is
-                // written — the worst crash window for replay
-                // idempotency.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    module.invoke(&params)
-                }));
-                self.stop.store(true, Ordering::Relaxed);
-                return;
-            }
-            Some(DispatchFault::Fail) => {
-                self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                note_result(
-                    &self.health,
-                    &self.stats,
-                    &self.trace,
-                    &name,
-                    true,
-                    self.config.quarantine_threshold,
-                );
-                self.trace.0.event(
-                    self.trace.1,
-                    EVENT_SD_COMPLETE,
-                    &[("module", &name), ("status", "error")],
-                );
-                respond(&Frame::response_err(id, "injected module failure"));
-                return;
-            }
-            None => {}
-        }
-        let stats = Arc::clone(&self.stats);
-        let health = Arc::clone(&self.health);
-        let in_flight = Arc::clone(&self.in_flight);
-        let threshold = self.config.quarantine_threshold;
-        let trace = self.trace.clone();
-        in_flight.fetch_add(1, Ordering::Relaxed);
-        let run = move || {
-            // A panicking module must neither kill the daemon (sequential
-            // dispatch) nor leave the host waiting forever: convert the
-            // panic into an error response.
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| module.invoke(&params)));
-            let failed = !matches!(outcome, Ok(Ok(_)));
-            let response = match outcome {
-                Ok(Ok(payload)) => {
-                    stats.ok.fetch_add(1, Ordering::Relaxed);
-                    Frame::response_ok(id, payload)
-                }
-                Ok(Err(e)) => {
-                    stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                    Frame::response_err(id, &e.message)
-                }
-                Err(panic) => {
-                    stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "module panicked".into());
-                    Frame::response_err(id, &format!("module panicked: {msg}"))
-                }
-            };
-            note_result(&health, &stats, &trace, &name, failed, threshold);
-            // Emitted BEFORE the response append so the host can never
-            // observe a completion whose daemon-side trace record is still
-            // pending (the determinism argument of DESIGN.md §12).
-            trace.0.event(
-                trace.1,
-                EVENT_SD_COMPLETE,
-                &[
-                    ("module", &name),
-                    ("status", if failed { "error" } else { "ok" }),
-                ],
-            );
-            let _ = writer.append(&response);
-            if let Some(m) = &mirrors {
-                m.append(&response);
-            }
-            in_flight.fetch_sub(1, Ordering::Relaxed);
-        };
-        if self.config.dispatch_parallel {
-            let mut w = self.workers.lock();
-            // Reap finished workers opportunistically.
-            w.retain(|h| !h.is_finished());
-            w.push(std::thread::spawn(run));
-        } else {
-            run();
-        }
-    }
-
-    /// Run one formed batch (DESIGN.md §18): admission-class checks per
-    /// request in queue order, module execution on the seeded worker
-    /// pool, then a single-threaded commit that appends every log's
-    /// responses as one coalesced batch with one fsync.
+    /// Phases 1 and 2 of one batch (DESIGN.md §18): per-request checks in
+    /// queue order on this thread, then the module runs handed to the
+    /// seeded worker pool. Phase 3 runs in [`DaemonCtx::finish_batch`]
+    /// once every result is in.
     ///
     /// Determinism: the workers only *compute* — every trace event,
-    /// health update and counter lands on this (single) thread in batch
+    /// health update and counter lands on the loop thread in batch
     /// order, and module→worker assignment is a pure seeded hash, so a
     /// same-seed run over the same queued requests produces
     /// byte-identical traces regardless of worker timing.
-    fn execute_batch(&mut self, cfg: BatchConfig, chunk: Vec<QueuedRequest>) {
-        struct Planned {
-            path: PathBuf,
-            name: String,
-            id: u64,
-            /// `Some` until the worker pool runs it; pre-check rejects
-            /// go straight to `frame`.
-            run: Option<(Arc<dyn ProcessingModule>, Vec<String>)>,
-            frame: Option<Frame>,
-        }
+    fn start_batch(&mut self, chunk: Vec<QueuedRequest>) {
         self.batch_seq += 1;
-        let batch_id = self.batch_seq;
         let size = chunk.len();
         // Span width = requests in the batch: the batch is one decision-
         // clock unit whose extent measures coalescing, not wall time.
@@ -964,10 +788,10 @@ impl DaemonCtx {
             size as u64,
             &[("size", &size.to_string())],
         );
-        // Phase 1 (serial, batch order): the same per-request checks the
-        // lockstep path applies — deadline, quarantine, registry lookup,
-        // injected dispatch faults.
+        // Phase 1 (serial, batch order): deadline, quarantine, registry
+        // lookup, injected dispatch faults.
         let mut planned: Vec<Planned> = Vec::with_capacity(size);
+        let mut runs: Vec<BucketedRun> = Vec::new();
         for req in chunk {
             let QueuedRequest {
                 path,
@@ -980,10 +804,12 @@ impl DaemonCtx {
                 path,
                 name,
                 id,
-                run: None,
                 frame: None,
+                result: None,
             };
             if expires_unix_ms != 0 && wall_clock_ms() >= expires_unix_ms {
+                // The caller has already given up, so the request is
+                // dropped — counted, answered, never executed.
                 self.stats.expired.fetch_add(1, Ordering::Relaxed);
                 self.trace
                     .0
@@ -995,12 +821,9 @@ impl DaemonCtx {
                 planned.push(p);
                 continue;
             }
-            if self
-                .health
-                .lock()
-                .get(&p.name)
-                .is_some_and(|h| h.quarantined)
-            {
+            if self.health.get(&p.name).is_some_and(|h| h.quarantined) {
+                // Refuse fast with a distinguishable message so the host
+                // fails over instead of waiting out its deadline.
                 self.stats
                     .quarantine_rejected
                     .fetch_add(1, Ordering::Relaxed);
@@ -1039,27 +862,21 @@ impl DaemonCtx {
             match self.config.injector.on_dispatch() {
                 Some(DispatchFault::CrashBefore) => {
                     // Crash mid-batch: nothing from this batch commits,
-                    // so the whole chunk is replayed next incarnation.
+                    // so the whole batch is replayed next incarnation.
                     self.stop.store(true, Ordering::Relaxed);
                     return;
                 }
                 Some(DispatchFault::CrashAfter) => {
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        module.invoke(&params)
-                    }));
+                    // Execute the module, then die before the response is
+                    // written — the worst crash window for replay
+                    // idempotency.
+                    let _ = run_module(&*module, &params);
                     self.stop.store(true, Ordering::Relaxed);
                     return;
                 }
                 Some(DispatchFault::Fail) => {
                     self.stats.module_errors.fetch_add(1, Ordering::Relaxed);
-                    note_result(
-                        &self.health,
-                        &self.stats,
-                        &self.trace,
-                        &p.name,
-                        true,
-                        self.config.quarantine_threshold,
-                    );
+                    self.note_result(&p.name, true);
                     self.trace.0.event(
                         self.trace.1,
                         EVENT_SD_COMPLETE,
@@ -1067,69 +884,78 @@ impl DaemonCtx {
                     );
                     p.frame = Some(Frame::response_err(p.id, "injected module failure"));
                 }
-                None => p.run = Some((module, params)),
+                None => runs.push((planned.len(), module, params)),
             }
             planned.push(p);
         }
-        // Phase 2 (parallel): shard-per-owner execution. The seeded hash
-        // pins each module to one worker, so one module's requests run
-        // serially in batch order while distinct modules overlap.
-        let workers = cfg.workers.max(1);
+        // Phase 2 (parallel): shard-per-owner execution on detached
+        // workers. The seeded hash pins each module to one worker, so one
+        // module's requests run serially in batch order while distinct
+        // modules overlap.
+        let workers = self.config.batch.workers.max(1);
         let mut buckets: Vec<Vec<BucketedRun>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, p) in planned.iter_mut().enumerate() {
-            if let Some((module, params)) = p.run.take() {
-                buckets[worker_for(cfg.seed, &p.name, workers)].push((i, module, params));
-            }
+        let outstanding = runs.len();
+        for run in runs {
+            buckets[worker_for(self.config.batch.seed, &planned[run.0].name, workers)].push(run);
         }
-        let running: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-        let mut results: Vec<Option<Result<Vec<u8>, String>>> =
-            planned.iter().map(|_| None).collect();
-        if running > 0 {
-            self.in_flight.fetch_add(running, Ordering::Relaxed);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .filter(|b| !b.is_empty())
-                    .map(|items| {
-                        s.spawn(move || {
-                            items
-                                .into_iter()
-                                .map(|(i, module, params)| {
-                                    let out = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| module.invoke(&params)),
-                                    );
-                                    let res = match out {
-                                        Ok(Ok(payload)) => Ok(payload),
-                                        Ok(Err(e)) => Err(e.message),
-                                        Err(panic) => {
-                                            let msg = panic
-                                                .downcast_ref::<&str>()
-                                                .map(|s| s.to_string())
-                                                .or_else(|| panic.downcast_ref::<String>().cloned())
-                                                .unwrap_or_else(|| "module panicked".into());
-                                            Err(format!("module panicked: {msg}"))
-                                        }
-                                    };
-                                    (i, res)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                // Barrier: the commit below must see every outcome.
-                for h in handles {
-                    for (i, res) in h.join().unwrap_or_default() {
-                        results[i] = Some(res);
-                    }
+        let (tx, results) = unbounded();
+        for items in buckets.into_iter().filter(|b| !b.is_empty()) {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                for (i, module, params) in items {
+                    let _ = tx.send((i, run_module(&*module, &params)));
                 }
             });
-            self.in_flight.fetch_sub(running, Ordering::Relaxed);
         }
-        // Phase 3 (serial, batch order): health + counters + completion
-        // events — still before any response append (DESIGN.md §12) —
-        // then the coalesced per-log commit.
-        for (i, p) in planned.iter_mut().enumerate() {
-            let Some(res) = results[i].take() else {
+        self.running = Some(RunningBatch {
+            id: self.batch_seq,
+            planned,
+            outstanding,
+            results,
+        });
+        if outstanding == 0 {
+            self.finish_batch();
+        }
+    }
+
+    /// Wait up to `wait` for the running batch's next result; commit the
+    /// batch once the last one is in.
+    fn await_batch(&mut self, wait: Duration) {
+        let Some(batch) = self.running.as_mut() else {
+            return;
+        };
+        match batch.results.recv_timeout(wait) {
+            Ok((i, result)) => {
+                batch.planned[i].result = Some(result);
+                batch.outstanding -= 1;
+            }
+            Err(RecvTimeoutError::Timeout) => return,
+            // Every worker is gone with results missing: answer the
+            // unreported runs as failures rather than wait forever.
+            Err(RecvTimeoutError::Disconnected) => {
+                for p in batch.planned.iter_mut() {
+                    if p.frame.is_none() && p.result.is_none() {
+                        p.result = Some(Err("module worker exited without a result".into()));
+                    }
+                }
+                batch.outstanding = 0;
+            }
+        }
+        if batch.outstanding == 0 {
+            self.finish_batch();
+        }
+    }
+
+    /// Phase 3 (serial, batch order): health, counters and completion
+    /// events — before any response append (DESIGN.md §12) — then the
+    /// coalesced per-log commit.
+    fn finish_batch(&mut self) {
+        let Some(batch) = self.running.take() else {
+            return;
+        };
+        let mut planned = batch.planned;
+        for p in planned.iter_mut() {
+            let Some(res) = p.result.take() else {
                 continue;
             };
             let failed = res.is_err();
@@ -1138,14 +964,7 @@ impl DaemonCtx {
             } else {
                 self.stats.ok.fetch_add(1, Ordering::Relaxed);
             }
-            note_result(
-                &self.health,
-                &self.stats,
-                &self.trace,
-                &p.name,
-                failed,
-                self.config.quarantine_threshold,
-            );
+            self.note_result(&p.name, failed);
             self.trace.0.event(
                 self.trace.1,
                 EVENT_SD_COMPLETE,
@@ -1167,11 +986,30 @@ impl DaemonCtx {
                 by_log
                     .entry(p.path)
                     .or_default()
-                    .push(frame.in_batch(batch_id, i as u64));
+                    .push(frame.in_batch(batch.id, i as u64));
             }
         }
         for (path, frames) in by_log {
             self.commit_log_batch(&path, &frames);
+        }
+    }
+
+    /// Record one invocation result; flips the module into quarantine
+    /// when it crosses `quarantine_threshold` consecutive failures.
+    fn note_result(&mut self, name: &str, failed: bool) {
+        let threshold = self.config.quarantine_threshold;
+        let entry = self.health.entry(name.to_string()).or_default();
+        if !failed {
+            entry.consecutive_failures = 0;
+            return;
+        }
+        entry.consecutive_failures += 1;
+        if !entry.quarantined && threshold > 0 && entry.consecutive_failures >= threshold {
+            entry.quarantined = true;
+            self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+            self.trace
+                .0
+                .event(self.trace.1, EVENT_SD_QUARANTINE, &[("module", name)]);
         }
     }
 
@@ -1311,13 +1149,16 @@ mod tests {
         assert_eq!(out.payload, b"TRACE");
         daemon.stop();
         let trace = mcsd_obs::export::jsonl(&tracer);
-        // sd.queue is absent here on purpose: an uncontended request skips
-        // the queue and dispatches straight from admission.
+        // Even an uncontended request is queued, then runs as a batch of
+        // one committed through the coalesced append path.
         for name in [
             "host.submit",
             EVENT_SD_REQUEST,
+            EVENT_SD_QUEUE,
+            SPAN_SD_BATCH,
             EVENT_SD_DISPATCH,
             EVENT_SD_COMPLETE,
+            EVENT_SD_BATCH_COMMIT,
         ] {
             assert!(
                 trace.contains(&format!("\"name\":\"{name}\"")),
@@ -1461,7 +1302,6 @@ mod tests {
         let dir = temp_dir();
         let mut cfg = DaemonConfig::new(&dir);
         cfg.quarantine_threshold = 2;
-        cfg.dispatch_parallel = false; // deterministic health ordering
         let mut daemon = Daemon::new(cfg, registry()).spawn().unwrap();
         let client = HostClient::new(&dir);
         // Two real failures cross the threshold...
@@ -1485,7 +1325,6 @@ mod tests {
         let dir = temp_dir();
         let mut cfg = DaemonConfig::new(&dir);
         cfg.quarantine_threshold = 2;
-        cfg.dispatch_parallel = false;
         let r = ModuleRegistry::new();
         let calls = Arc::new(TestCounter::new(0));
         let c = Arc::clone(&calls);
@@ -1862,7 +1701,7 @@ mod tests {
         // Tear the first batch commit half way: the durable prefix must
         // not be re-appended, and the suffix retry must answer the rest.
         let plan = FaultPlan::none().with(
-            FaultSite::BatchAppend,
+            FaultSite::SdAppend,
             0,
             FaultAction::Torn { keep_sixteenths: 8 },
         );

@@ -32,7 +32,9 @@ pub const QUARANTINE_TOKEN: &str = "quarantined after";
 pub enum FaultSite {
     /// The host appending a request frame to a module log.
     HostAppend,
-    /// The daemon appending a response frame to a module log.
+    /// The daemon committing responses to a module log: one occurrence
+    /// per coalesced commit (a batch's frames for that log, or one shed
+    /// reply), in commit order.
     SdAppend,
     /// The host polling a module log for responses.
     HostPoll,
@@ -53,14 +55,10 @@ pub enum FaultSite {
     /// [`FaultAction::CrashReplicas`] takes down every replica named in
     /// its mask at once (correlated rack failure).
     Group,
-    /// The daemon committing a coalesced append batch (one fsync per
-    /// batch). Occurrences advance once per batch commit, in batch-id
-    /// order, so they are a pure function of the request sequence.
-    BatchAppend,
 }
 
 impl FaultSite {
-    const COUNT: usize = 10;
+    const COUNT: usize = 9;
 
     /// Every injection site, in counter order. The chaos explorer sweeps
     /// this list; a new variant that is not added here fails the
@@ -75,7 +73,6 @@ impl FaultSite {
         FaultSite::Span,
         FaultSite::Replica,
         FaultSite::Group,
-        FaultSite::BatchAppend,
     ];
 
     /// Stable, seed-free name used in chaos reports and traces.
@@ -90,7 +87,6 @@ impl FaultSite {
             FaultSite::Span => "span",
             FaultSite::Replica => "replica",
             FaultSite::Group => "group",
-            FaultSite::BatchAppend => "batch_append",
         }
     }
 
@@ -107,8 +103,7 @@ impl FaultSite {
             | FaultSite::Dispatch
             | FaultSite::Span
             | FaultSite::Replica
-            | FaultSite::Group
-            | FaultSite::BatchAppend => true,
+            | FaultSite::Group => true,
             FaultSite::HostPoll | FaultSite::SdPoll | FaultSite::Heartbeat => false,
         }
     }
@@ -124,7 +119,6 @@ impl FaultSite {
             FaultSite::Span => 6,
             FaultSite::Replica => 7,
             FaultSite::Group => 8,
-            FaultSite::BatchAppend => 9,
         }
     }
 }
@@ -188,17 +182,11 @@ impl FaultAction {
             }
             FaultAction::Torn { .. } => matches!(
                 site,
-                FaultSite::HostAppend
-                    | FaultSite::SdAppend
-                    | FaultSite::Replica
-                    | FaultSite::BatchAppend
+                FaultSite::HostAppend | FaultSite::SdAppend | FaultSite::Replica
             ),
             FaultAction::Corrupt { .. } => matches!(
                 site,
-                FaultSite::HostAppend
-                    | FaultSite::SdAppend
-                    | FaultSite::Replica
-                    | FaultSite::BatchAppend
+                FaultSite::HostAppend | FaultSite::SdAppend | FaultSite::Replica
             ),
             FaultAction::Hide { .. } => {
                 matches!(site, FaultSite::HostPoll | FaultSite::SdPoll)

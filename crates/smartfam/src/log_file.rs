@@ -124,23 +124,7 @@ impl LogFile {
     /// way a silent NFS corruption would).
     pub fn append(&self, frame: &Frame) -> Result<u64, SmartFamError> {
         let mut bytes = frame.encode();
-        let fault = self.injector.on_append(self.role.append_site());
-        if let Some(AppendFault::Corrupt { xor_mask }) = fault {
-            // Flip one byte in the middle of the body region so the
-            // frame's length header still parses but the checksum fails.
-            let pos = 5 + (bytes.len().saturating_sub(9)) / 2;
-            if pos < bytes.len() {
-                bytes[pos] ^= xor_mask.max(1);
-            }
-        }
-        let keep = match fault {
-            Some(AppendFault::Torn { keep_sixteenths }) => {
-                let k = (bytes.len() * keep_sixteenths.min(15) as usize / 16)
-                    .clamp(1, bytes.len().saturating_sub(1).max(1));
-                Some(k)
-            }
-            _ => None,
-        };
+        let keep = self.inject_append_fault(&mut bytes);
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -164,15 +148,15 @@ impl LogFile {
     /// Append a coalesced batch of frames with **one fsync for the whole
     /// batch**: the frames are encoded back to back, written through a
     /// single file handle, and made durable by a single `sync_data` call.
-    /// This is the daemon's batched-commit primitive — per-frame `append`
+    /// This is the daemon's only write primitive — per-frame `append`
     /// never fsyncs, so a batch of `n` responses costs 1 fsync instead of
-    /// the `n` a durable lockstep writer would pay.
+    /// the `n` a durable per-response writer would pay.
     ///
-    /// Faults are counted under [`FaultSite::BatchAppend`] (one occurrence
-    /// per batch). Unlike [`LogFile::append`], a torn batch is *not* an
-    /// error: the write keeps a prefix and the outcome reports how many
-    /// frames of the batch are fully durable, so the caller retries only
-    /// the torn suffix. An injected corruption flips one byte mid-buffer
+    /// Faults are counted under the handle's role append site (one
+    /// occurrence per batch). Unlike [`LogFile::append`], a torn batch is
+    /// *not* an error: the write keeps a prefix and the outcome reports
+    /// how many frames of the batch are fully durable, so the caller
+    /// retries only the torn suffix. An injected corruption flips one byte mid-buffer
     /// and "succeeds" the way a silent NFS corruption would.
     pub fn append_batch(&self, frames: &[Frame]) -> Result<BatchAppendOutcome, SmartFamError> {
         if frames.is_empty() {
@@ -189,23 +173,7 @@ impl LogFile {
         for e in &encoded {
             bytes.extend_from_slice(e);
         }
-        let fault = self.injector.on_append(FaultSite::BatchAppend);
-        if let Some(AppendFault::Corrupt { xor_mask }) = fault {
-            // One flipped byte mid-buffer: the frame it lands in fails its
-            // checksum and the recovering reader skips exactly that frame.
-            let pos = 5 + (bytes.len().saturating_sub(9)) / 2;
-            if pos < bytes.len() {
-                bytes[pos] ^= xor_mask.max(1);
-            }
-        }
-        let keep = match fault {
-            Some(AppendFault::Torn { keep_sixteenths }) => {
-                let k = (bytes.len() * keep_sixteenths.min(15) as usize / 16)
-                    .clamp(1, bytes.len().saturating_sub(1).max(1));
-                Some(k)
-            }
-            _ => None,
-        };
+        let keep = self.inject_append_fault(&mut bytes);
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -237,6 +205,26 @@ impl LogFile {
             fsyncs: 1,
             torn: keep.is_some(),
         })
+    }
+
+    /// Apply this append's scheduled fault, if any, to the encoded bytes.
+    /// A corruption flips one byte mid-buffer, so the frame it lands in
+    /// fails its checksum while its length header still parses; a tear
+    /// returns how many bytes to write (at least one, never all).
+    fn inject_append_fault(&self, bytes: &mut [u8]) -> Option<usize> {
+        match self.injector.on_append(self.role.append_site())? {
+            AppendFault::Corrupt { xor_mask } => {
+                let pos = 5 + (bytes.len().saturating_sub(9)) / 2;
+                if pos < bytes.len() {
+                    bytes[pos] ^= xor_mask.max(1);
+                }
+                None
+            }
+            AppendFault::Torn { keep_sixteenths } => Some(
+                (bytes.len() * keep_sixteenths.min(15) as usize / 16)
+                    .clamp(1, bytes.len().saturating_sub(1).max(1)),
+            ),
+        }
     }
 
     /// Read every complete frame appended since the last poll, advancing
@@ -538,7 +526,7 @@ mod tests {
         // 7/16 of four equal frames tears mid-frame (8/16 would land
         // exactly on a frame boundary and leave no torn tail bytes).
         let plan = FaultPlan::none().with(
-            FaultSite::BatchAppend,
+            FaultSite::SdAppend,
             0,
             FaultAction::Torn { keep_sixteenths: 7 },
         );
@@ -573,7 +561,7 @@ mod tests {
         use crate::faults::{FaultAction, FaultPlan, FaultSite};
         let path = temp_log();
         let plan = FaultPlan::none().with(
-            FaultSite::BatchAppend,
+            FaultSite::SdAppend,
             0,
             FaultAction::Corrupt { xor_mask: 0x5a },
         );

@@ -1,5 +1,5 @@
 //! Ordering-invariant and fault-matrix tests for the batched smartFAM
-//! dispatch path (DESIGN.md §18).
+//! daemon executor (DESIGN.md §18).
 //!
 //! The tentpole guarantee under test: the multi-worker pool preserves
 //! **serial-per-module** order — every module is owned by exactly one
@@ -7,12 +7,14 @@
 //! execute in submit order — under *any* worker count, batch size, and
 //! assignment seed. The fault-matrix tests pin the batch-commit recovery
 //! contract: a torn batch tail retries only the torn suffix, and a crash
-//! at a batch boundary replays exactly the uncommitted suffix.
+//! at a batch boundary replays exactly the uncommitted suffix. The
+//! liveness tests pin that the loop thread never blocks on a running
+//! batch: the heartbeat stays fresh and arrivals are admitted or shed.
 
 use mcsd_smartfam::module::FnModule;
 use mcsd_smartfam::{
     BatchConfig, Daemon, DaemonConfig, FaultAction, FaultInjector, FaultPlan, FaultSite,
-    HostClient, ModuleRegistry,
+    HostClient, ModuleRegistry, RetryPolicy, SmartFamError,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -146,7 +148,7 @@ fn torn_batch_tail_retries_only_the_suffix() {
     // 4-frame suffix must be retried (8/16 would tear exactly on the
     // frame boundary and leave nothing torn).
     let plan = FaultPlan::none().with(
-        FaultSite::BatchAppend,
+        FaultSite::SdAppend,
         0,
         FaultAction::Torn { keep_sixteenths: 7 },
     );
@@ -225,5 +227,76 @@ fn crash_at_batch_boundary_replays_exactly_the_uncommitted_suffix() {
     assert_eq!(after.batches, 1, "{after}");
     assert_eq!(after.coalesced_appends, 4, "{after}");
     assert_eq!(after.fsyncs, 1, "{after}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The loop never blocks on a module: a run longer than the resilient
+/// client's `heartbeat_max_age` (1 s by default) must not stale the
+/// heartbeat, or the host would declare a healthy daemon dead.
+#[test]
+fn long_module_run_keeps_the_heartbeat_fresh() {
+    let dir = temp_dir();
+    let registry = ModuleRegistry::new();
+    registry.register(Arc::new(FnModule::new("long", |_: &[String]| {
+        std::thread::sleep(Duration::from_millis(1500));
+        Ok(b"done".to_vec())
+    })));
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir), registry)
+        .spawn()
+        .unwrap();
+    let client = HostClient::new(&dir);
+    let call = client.invoke_resilient("long", &[], TIMEOUT, &RetryPolicy::default());
+    let out = call.outcome.expect("a slow module is not a dead daemon");
+    assert_eq!(out.payload, b"done");
+    assert_eq!(call.stats.retries, 0);
+    daemon.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Admission keeps running while a batch runs: with one slot and one
+/// queue spot held (r0 running behind a shut gate, r1 queued), r2..r4
+/// are shed with typed `Overloaded` replies at once — not left to time
+/// out behind the gate.
+#[test]
+fn arrivals_during_a_running_batch_are_shed_at_once() {
+    let dir = temp_dir();
+    let started = dir.join("started.flag");
+    let release = dir.join("release.gate");
+    let registry = ModuleRegistry::new();
+    let (started_flag, gate) = (started.clone(), release.clone());
+    registry.register(Arc::new(FnModule::new("gate", move |p: &[String]| {
+        std::fs::write(&started_flag, b"up").unwrap();
+        let t0 = std::time::Instant::now();
+        while !gate.exists() && t0.elapsed() < TIMEOUT {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Ok(p.join("").into_bytes())
+    })));
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir).with_admission(1, 1), registry)
+        .spawn()
+        .unwrap();
+    let client = HostClient::new(&dir);
+    let r0 = client.submit("gate", &["r0".into()]).unwrap();
+    assert!(
+        mcsd_smartfam::watch::wait_for_file(&started, TIMEOUT, |len| len > 0),
+        "r0 never started"
+    );
+    let mut rest: Vec<_> = (1..5)
+        .map(|i| client.submit("gate", &[format!("r{i}")]).unwrap())
+        .collect();
+    // Far below the gate's own give-up time: a shed reply must not wait
+    // for r0's batch to finish.
+    for (i, pending) in rest.drain(1..).enumerate() {
+        match pending.wait(Duration::from_secs(10)) {
+            Err(SmartFamError::Overloaded { .. }) => {}
+            other => panic!("r{} should be shed: {other:?}", i + 2),
+        }
+    }
+    assert!(!release.exists(), "sheds must not wait for the gate");
+    std::fs::write(&release, b"go").unwrap();
+    assert_eq!(r0.wait(TIMEOUT).unwrap().payload, b"r0");
+    assert_eq!(rest.remove(0).wait(TIMEOUT).unwrap().payload, b"r1");
+    daemon.stop();
+    assert_eq!(daemon.stats().shed, 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -17,8 +17,8 @@
 //!   the runtime does. The §12 catalog rows sit between
 //!   `<!-- mcsd010:track-domain-table:begin/end -->` markers.
 //!
-//! Existing `tidy:allow(MCSD003)` waivers keep working: the waiver
-//! filter treats MCSD003 as a deprecated alias for MCSD010.
+//! MCSD003 is retired: a `tidy:allow(MCSD003)` waiver is malformed, so
+//! waivers for this pass name MCSD010.
 
 use std::collections::BTreeMap;
 

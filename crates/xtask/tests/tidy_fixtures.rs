@@ -200,9 +200,9 @@ fn mcsd010_clean_fixture_passes() {
 }
 
 #[test]
-fn mcsd003_waivers_still_suppress_mcsd010_findings() {
-    // The retired window heuristic's waivers must keep working: MCSD003
-    // is a deprecated alias for MCSD010 in waiver matching.
+fn retired_mcsd003_waiver_is_malformed_and_suppresses_nothing() {
+    // MCSD003 is retired: its waiver is reported as malformed (MCSD000)
+    // and the MCSD010 finding it used to alias stays visible.
     let src = "\
 use std::collections::HashMap;
 
@@ -219,8 +219,15 @@ pub fn emit_all(m: HashMap<u32, u32>, out: &mut String) {
     assert_eq!(raw.len(), 1, "{raw:?}");
     let file = &ws.files[0];
     let outcome = xtask::checks::apply_waivers(&file.ctx, &file.scanned, raw);
-    assert!(outcome.diagnostics.is_empty(), "{:?}", outcome.diagnostics);
-    assert_eq!(outcome.waivers_honored, 1);
+    let mut got: Vec<Code> = outcome.diagnostics.iter().map(|d| d.code).collect();
+    got.sort();
+    assert_eq!(
+        got,
+        vec![Code::Mcsd000, Code::Mcsd010],
+        "{:?}",
+        outcome.diagnostics
+    );
+    assert_eq!(outcome.waivers_honored, 0);
 }
 
 #[test]
