@@ -433,17 +433,27 @@ fn decode_body(magic: u8, body: &[u8]) -> Result<Frame, String> {
 /// Corrupt frames abort the scan with an error — a log file is
 /// append-only, so corruption is never self-healing.
 pub fn decode_stream(data: &[u8], offset: usize) -> Result<(Vec<Frame>, usize), String> {
+    let start = offset.min(data.len());
+    let (frames, consumed) = decode_tail(&data[start..], start as u64)?;
+    Ok((frames, start + consumed))
+}
+
+/// Decode every complete frame of `tail`, the bytes of a log from file
+/// offset `base` on. Returns the frames and the number of bytes consumed;
+/// a corrupt frame's error names its absolute file offset (`base` plus
+/// its position in `tail`), not its position in the slice.
+pub(crate) fn decode_tail(tail: &[u8], base: u64) -> Result<(Vec<Frame>, usize), String> {
     let mut frames = Vec::new();
-    let mut pos = offset.min(data.len());
+    let mut pos = 0;
     loop {
-        match decode_frame(&data[pos..]) {
+        match decode_frame(&tail[pos..]) {
             DecodeStep::Complete { frame, consumed } => {
                 frames.push(frame);
                 pos += consumed;
             }
             DecodeStep::Incomplete => break,
             DecodeStep::Corrupt { detail } => {
-                return Err(format!("at offset {pos}: {detail}"));
+                return Err(format!("at offset {}: {detail}", base + pos as u64));
             }
         }
     }

@@ -9,10 +9,10 @@
 //! Both sides append [`Frame`]s; each side keeps its own read cursor and
 //! scans only the bytes appended since its last read.
 
-use crate::codec::{decode_stream, decode_stream_recovering, Frame};
+use crate::codec::{decode_stream_recovering, decode_tail, Frame};
 use crate::error::SmartFamError;
 use crate::faults::{AppendFault, FaultInjector, FaultSite};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Which side of the log a handle belongs to — selects the fault-injection
@@ -231,21 +231,13 @@ impl LogFile {
     /// the cursor past them. An incomplete trailing frame (a concurrent
     /// append in progress) is left for the next poll.
     pub fn poll(&mut self) -> Result<Vec<Frame>, SmartFamError> {
-        let data = std::fs::read(&self.path)?;
-        if (data.len() as u64) < self.cursor {
-            // The file shrank under us — treat as corruption.
-            return Err(SmartFamError::Corrupt {
-                offset: self.cursor,
-                detail: "log file was truncated".into(),
-            });
-        }
-        let (frames, new_pos) = decode_stream(&data, self.cursor as usize).map_err(|detail| {
-            SmartFamError::Corrupt {
+        let tail = self.read_tail()?;
+        let (frames, consumed) =
+            decode_tail(&tail, self.cursor).map_err(|detail| SmartFamError::Corrupt {
                 offset: self.cursor,
                 detail,
-            }
-        })?;
-        self.cursor = new_pos as u64;
+            })?;
+        self.cursor += consumed as u64;
         Ok(frames)
     }
 
@@ -258,16 +250,29 @@ impl LogFile {
         if self.injector.on_poll(self.role.poll_site()) {
             return Ok((Vec::new(), 0));
         }
-        let data = std::fs::read(&self.path)?;
-        if (data.len() as u64) < self.cursor {
+        let tail = self.read_tail()?;
+        let rec = decode_stream_recovering(&tail, 0);
+        self.cursor += rec.new_pos as u64;
+        Ok((rec.frames, rec.skipped_bytes as u64))
+    }
+
+    /// The bytes appended since the cursor: one open, one stat and a read
+    /// of only `[cursor..]`, so a poll costs O(new bytes) however long the
+    /// log has grown. A file shorter than the cursor shrank under us,
+    /// which is corruption.
+    fn read_tail(&self) -> Result<Vec<u8>, SmartFamError> {
+        let mut f = std::fs::File::open(&self.path)?;
+        let len = f.metadata()?.len();
+        if len < self.cursor {
             return Err(SmartFamError::Corrupt {
                 offset: self.cursor,
                 detail: "log file was truncated".into(),
             });
         }
-        let rec = decode_stream_recovering(&data, self.cursor as usize);
-        self.cursor = rec.new_pos as u64;
-        Ok((rec.frames, rec.skipped_bytes as u64))
+        f.seek(SeekFrom::Start(self.cursor))?;
+        let mut tail = Vec::with_capacity((len - self.cursor) as usize);
+        f.read_to_end(&mut tail)?;
+        Ok(tail)
     }
 
     /// Current length of the log file in bytes.
@@ -356,35 +361,35 @@ mod tests {
 
     #[test]
     fn partial_append_is_deferred() {
-        let path = temp_log();
-        let writer = LogFile::attach_at_start(&path).unwrap();
-        let mut reader = LogFile::attach_at_start(&path).unwrap();
-        writer.append(&Frame::request(1, vec![])).unwrap();
-        // Simulate a torn concurrent write: append half a frame by hand.
-        let bytes = Frame::request(2, vec!["big-parameter".into()]).encode();
-        {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(&bytes[..bytes.len() / 2]).unwrap();
+        for recovering in [false, true] {
+            let path = temp_log();
+            let writer = LogFile::attach_at_start(&path).unwrap();
+            let mut reader = LogFile::attach_at_start(&path).unwrap();
+            let poll = |reader: &mut LogFile| {
+                if recovering {
+                    let (frames, skipped) = reader.poll_recovering().unwrap();
+                    assert_eq!(skipped, 0);
+                    frames
+                } else {
+                    reader.poll().unwrap()
+                }
+            };
+            writer.append(&Frame::request(1, vec![])).unwrap();
+            // Simulate a torn concurrent write: append half a frame by hand.
+            let bytes = Frame::request(2, vec!["big-parameter".into()]).encode();
+            append_raw(&path, &bytes[..bytes.len() / 2]);
+            let frames = poll(&mut reader);
+            assert_eq!(frames.len(), 1);
+            // Complete the torn frame; the reader picks it up next poll,
+            // exactly once.
+            append_raw(&path, &bytes[bytes.len() / 2..]);
+            let frames = poll(&mut reader);
+            assert_eq!(frames.len(), 1);
+            assert_eq!(frames[0].id, 2);
+            assert!(poll(&mut reader).is_empty());
+            assert_eq!(reader.cursor(), writer.len().unwrap());
+            std::fs::remove_file(&path).unwrap();
         }
-        let frames = reader.poll().unwrap();
-        assert_eq!(frames.len(), 1);
-        // Complete the torn frame; the reader picks it up next poll.
-        {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(&bytes[bytes.len() / 2..]).unwrap();
-        }
-        let frames = reader.poll().unwrap();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].id, 2);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -393,9 +398,45 @@ mod tests {
         let writer = LogFile::attach_at_start(&path).unwrap();
         let mut reader = LogFile::attach_at_start(&path).unwrap();
         writer.append(&Frame::request(1, vec![])).unwrap();
+        writer.append(&Frame::request(2, vec![])).unwrap();
         reader.poll().unwrap();
-        std::fs::write(&path, b"").unwrap();
-        assert!(matches!(reader.poll(), Err(SmartFamError::Corrupt { .. })));
+        let cursor = reader.cursor();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(cursor - 1).unwrap();
+        for result in [reader.poll().map(drop), reader.poll_recovering().map(drop)] {
+            match result {
+                Err(SmartFamError::Corrupt { offset, .. }) => assert_eq!(offset, cursor),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(reader.cursor(), cursor);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn corrupt_detail_deep_in_a_long_log_names_the_absolute_offset() {
+        let path = temp_log();
+        let writer = LogFile::attach_at_start(&path).unwrap();
+        let mut reader = LogFile::attach_at_start(&path).unwrap();
+        for i in 0..64 {
+            writer
+                .append(&Frame::response_ok(i, vec![3u8; 40]))
+                .unwrap();
+        }
+        assert_eq!(reader.poll().unwrap().len(), 64);
+        let cursor = reader.cursor();
+        assert!(cursor > 1000);
+        append_raw(&path, &corrupted(&Frame::response_ok(64, vec![4u8; 40])));
+        match reader.poll() {
+            Err(SmartFamError::Corrupt { offset, detail }) => {
+                assert_eq!(offset, cursor);
+                assert!(
+                    detail.starts_with(&format!("at offset {cursor}: ")),
+                    "{detail}"
+                );
+            }
+            other => panic!("{other:?}"),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -578,6 +619,131 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert!(skipped > 0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Append raw bytes, bypassing the frame encoder (a torn or corrupt
+    /// write, or the completion of one).
+    fn append_raw(path: &Path, bytes: &[u8]) {
+        let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
+    /// `frame` encoded with one mid-body byte flipped, so its length
+    /// header parses but its checksum fails.
+    fn corrupted(frame: &Frame) -> Vec<u8> {
+        let mut bytes = frame.encode();
+        let pos = 5 + (bytes.len() - 9) / 2;
+        bytes[pos] ^= 0x5a;
+        bytes
+    }
+
+    /// The whole file, as the read path before cursor-relative reads saw
+    /// it: the reference for the equivalence property below.
+    fn whole_file(path: &Path, cursor: u64) -> Result<Vec<u8>, SmartFamError> {
+        let data = std::fs::read(path)?;
+        if (data.len() as u64) < cursor {
+            return Err(SmartFamError::Corrupt {
+                offset: cursor,
+                detail: "log file was truncated".into(),
+            });
+        }
+        Ok(data)
+    }
+
+    /// Strict reference poll: decodes the whole file from `cursor` frame by
+    /// frame, so its error offsets are absolute by construction and do not
+    /// share the decode loop under test.
+    fn whole_file_poll(path: &Path, cursor: &mut u64) -> Result<Vec<Frame>, SmartFamError> {
+        use crate::codec::{decode_frame, DecodeStep};
+        let data = whole_file(path, *cursor)?;
+        let mut frames = Vec::new();
+        let mut pos = *cursor as usize;
+        loop {
+            match decode_frame(&data[pos..]) {
+                DecodeStep::Complete { frame, consumed } => {
+                    frames.push(frame);
+                    pos += consumed;
+                }
+                DecodeStep::Incomplete => break,
+                DecodeStep::Corrupt { detail } => {
+                    return Err(SmartFamError::Corrupt {
+                        offset: *cursor,
+                        detail: format!("at offset {pos}: {detail}"),
+                    })
+                }
+            }
+        }
+        *cursor = pos as u64;
+        Ok(frames)
+    }
+
+    fn whole_file_poll_recovering(
+        path: &Path,
+        cursor: &mut u64,
+    ) -> Result<(Vec<Frame>, u64), SmartFamError> {
+        let data = whole_file(path, *cursor)?;
+        let rec = decode_stream_recovering(&data, *cursor as usize);
+        *cursor = rec.new_pos as u64;
+        Ok((rec.frames, rec.skipped_bytes as u64))
+    }
+
+    proptest::proptest! {
+        /// Cursor-relative reads are observationally the old whole-file
+        /// reads: over random appends, torn appends completed later,
+        /// mid-frame corruptions, truncations and both kinds of poll, the
+        /// two return the same frames, cursors and skipped-byte counts,
+        /// and fail with the same `Corrupt` offset and detail.
+        #[test]
+        fn tail_reads_match_whole_file_reads(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..48),
+        ) {
+            let path = temp_log();
+            let mut reader = LogFile::attach_at_start(&path).unwrap();
+            let mut reference = 0u64;
+            let mut torn_rest: Option<Vec<u8>> = None;
+            for (i, op) in ops.into_iter().enumerate() {
+                let arg = op >> 8;
+                let frame = if arg % 2 == 0 {
+                    Frame::request(i as u64, vec!["p".repeat((arg % 300) as usize)])
+                } else {
+                    Frame::response_ok(i as u64, vec![i as u8; (arg % 700) as usize])
+                };
+                match op % 8 {
+                    0 | 1 => append_raw(&path, &frame.encode()),
+                    2 => {
+                        let bytes = frame.encode();
+                        let cut = 1 + (arg as usize) % (bytes.len() - 1);
+                        append_raw(&path, &bytes[..cut]);
+                        torn_rest = Some(bytes[cut..].to_vec());
+                    }
+                    3 => {
+                        if let Some(rest) = torn_rest.take() {
+                            append_raw(&path, &rest);
+                        }
+                    }
+                    4 => append_raw(&path, &corrupted(&frame)),
+                    5 => {
+                        let got = reader.poll();
+                        let want = whole_file_poll(&path, &mut reference);
+                        proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                    }
+                    6 => {
+                        let got = reader.poll_recovering();
+                        let want = whole_file_poll_recovering(&path, &mut reference);
+                        proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                    }
+                    _ => {
+                        if arg % 4 == 0 {
+                            let len = std::fs::metadata(&path).unwrap().len();
+                            let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                            f.set_len(len / 2).unwrap();
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(reader.cursor(), reference);
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use crate::codec::{decode_stream, decode_stream_recovering, Frame};
 use crate::error::SmartFamError;
 use crate::faults::{FaultInjector, ReplicaFault};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Replication-group shape: how many copies of each module log exist and
@@ -339,9 +339,9 @@ impl ReplicatedLog {
                 member.acked_entries -= 1;
                 member.good_bytes -= bytes.len() as u64;
                 let path = Self::replica_path(&self.dir, &self.module, r);
-                let mut data = std::fs::read(&path)?;
-                data.truncate(member.good_bytes as usize);
-                std::fs::write(&path, &data)?;
+                let f = std::fs::OpenOptions::new().write(true).open(&path)?;
+                let len = f.metadata()?.len();
+                f.set_len(len.min(member.good_bytes))?;
             }
         }
         Ok(outcome)
@@ -460,11 +460,17 @@ fn append_bytes(path: &Path, bytes: &[u8]) -> Result<(), SmartFamError> {
 }
 
 /// Read-back verification: the file holds exactly `expected` at `offset`
-/// and nothing after it.
+/// and nothing after it. Only the suffix is read back, so verifying an
+/// append costs O(its bytes), not O(the replica's history).
 fn verify_suffix(path: &Path, offset: u64, expected: &[u8]) -> Result<bool, SmartFamError> {
-    let data = std::fs::read(path)?;
-    let offset = offset as usize;
-    Ok(data.len() == offset + expected.len() && &data[offset..] == expected)
+    let mut f = std::fs::File::open(path)?;
+    if f.metadata()?.len() != offset + expected.len() as u64 {
+        return Ok(false);
+    }
+    f.seek(SeekFrom::Start(offset))?;
+    let mut suffix = Vec::with_capacity(expected.len());
+    f.read_to_end(&mut suffix)?;
+    Ok(suffix == expected)
 }
 
 /// The mirror copies of one module log — the daemon's live replication
@@ -593,6 +599,18 @@ mod tests {
 
     fn frame(i: u64) -> Frame {
         Frame::request(i, vec![format!("payload-{i}")])
+    }
+
+    #[test]
+    fn read_back_accepts_only_the_exact_suffix() {
+        let dir = temp_dir();
+        let path = dir.join("copy.log");
+        std::fs::write(&path, b"history-appended").unwrap();
+        assert!(verify_suffix(&path, 7, b"-appended").unwrap());
+        assert!(!verify_suffix(&path, 7, b"-appendeD").unwrap());
+        assert!(!verify_suffix(&path, 7, b"-append").unwrap());
+        assert!(!verify_suffix(&path, 8, b"-appended").unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
