@@ -30,7 +30,7 @@
 //!
 //! `throughput` (not part of `all` either) times the same four-phase
 //! scenario and reports jobs/sec, engine decisions/sec through
-//! `engine::run_call`, and wall-clock, then times the §15 degraded mode
+//! `Engine::run_calls`, and wall-clock, then times the §15 degraded mode
 //! (replicated group of three, one replica killed per run), the
 //! §17 rack-scale DES run (104 nodes, 1200 concurrent jobs), and the
 //! §18 batched-daemon call rate at pipelined window depths 1/4/16;
@@ -225,7 +225,7 @@ struct PhaseTotals {
     /// Requests resolved end-to-end: daemon submissions (served, shed,
     /// or expired) plus framework offload calls.
     jobs: u64,
-    /// Offload decisions recorded by `engine::run_call` (the framework's
+    /// Offload decisions recorded by `Engine::run_calls` (the framework's
     /// decision log), i.e. calls that went through the decision engine.
     decisions: u64,
 }
@@ -365,7 +365,7 @@ fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTota
         println!("\n### Phase C — retry: a torn request append recovered on the second attempt\n");
     }
     // The host's first append is torn mid-frame; the typed FaultInjected
-    // error is transient, so the resilient client backs off, retries, and
+    // error is transient, so the host client backs off, retries, and
     // the daemon's recovering reader skips the corrupt bytes.
     let plan = FaultPlan::none().with(
         FaultSite::HostAppend,
@@ -696,7 +696,7 @@ fn batched_call_rate(seed: u64, depth: usize, calls: usize) -> (f64, mcsd_smartf
 
 /// First perf baseline toward ROADMAP item 1: run the seeded four-phase
 /// scenario (tracer on, exports off) and report jobs/sec, engine
-/// decisions/sec through `engine::run_call`, and wall-clock, then the
+/// decisions/sec through `Engine::run_calls`, and wall-clock, then the
 /// §15 degraded mode (group of three, one replica killed per run) and
 /// the §16 chaos discovery pass's clean-run overhead (probing counters
 /// on versus off over the chaos-tolerant four-phase segments), and the

@@ -8,13 +8,14 @@
 //! examples and integration tests exercise McSD end-to-end through this
 //! path.
 
+use crate::engine::SdDispatch;
 use crate::error::McsdError;
 use crate::modules::{MatMulModule, StringMatchModule, WordCountModule};
 use mcsd_cluster::{Cluster, NfsShare, NodeId, TimeBreakdown};
 use mcsd_obs::Tracer;
 use mcsd_smartfam::{
     BatchStats, Daemon, DaemonConfig, DaemonHandle, DaemonStats, FaultInjector, HostClient,
-    ModuleRegistry, ReplicaConfig, ResilienceStats, RetryPolicy, WindowConfig,
+    InvokeOutcome, ModuleRegistry, ReplicaConfig, SmartFamError, WindowConfig,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -254,47 +255,15 @@ impl McsdClient {
         params: &[String],
         timeout: Duration,
     ) -> Result<(Vec<u8>, TimeBreakdown), McsdError> {
-        let outcome = self.inner.invoke(module, params, timeout)?;
-        let bytes = outcome.request_bytes + outcome.response_bytes;
-        let wire = Duration::from_secs_f64(bytes as f64 * self.network_charge_per_byte);
-        let cost = TimeBreakdown::network(self.latency * 2 + wire)
-            + TimeBreakdown::overhead(outcome.elapsed);
-        Ok((outcome.payload, cost))
-    }
-
-    /// Like [`McsdClient::invoke`], but self-healing: the deadline is
-    /// split into per-attempt budgets, transient failures are retried with
-    /// deterministic backoff, and the daemon heartbeat is probed before
-    /// each retry (see [`RetryPolicy`]). The recovery counters come back
-    /// alongside the outcome so callers can account for degraded runs even
-    /// when the call ultimately fails.
-    pub fn invoke_resilient(
-        &self,
-        module: &str,
-        params: &[String],
-        deadline: Duration,
-        policy: &RetryPolicy,
-    ) -> (Result<(Vec<u8>, TimeBreakdown), McsdError>, ResilienceStats) {
-        let call = self
-            .inner
-            .invoke_resilient(module, params, deadline, policy);
-        let outcome = match call.outcome {
-            Ok(outcome) => {
-                let bytes = outcome.request_bytes + outcome.response_bytes;
-                let wire = Duration::from_secs_f64(bytes as f64 * self.network_charge_per_byte);
-                let cost = TimeBreakdown::network(self.latency * 2 + wire)
-                    + TimeBreakdown::overhead(outcome.elapsed);
-                Ok((outcome.payload, cost))
-            }
-            Err(e) => Err(McsdError::SmartFam(e)),
-        };
-        (outcome, call.stats)
+        self.wire(self.inner.invoke(module, params, timeout))
     }
 
     /// Invoke one module once per parameter set through a pipelined
     /// in-flight window (DESIGN.md §18) instead of `calls.len()` lockstep
-    /// round trips. Outcomes come back in submit order with the same
-    /// network-cost accounting as [`McsdClient::invoke`]; the returned
+    /// round trips. Each call runs under `cfg`'s deadline and
+    /// [`mcsd_smartfam::RetryPolicy`]; outcomes come back in submit order
+    /// with the same network-cost accounting as [`McsdClient::invoke`],
+    /// each beside its own recovery counters. The returned
     /// [`BatchStats`] carries the window-side counters (occupancy,
     /// shrinks, reordered completions) of this run.
     pub fn invoke_window(
@@ -302,23 +271,27 @@ impl McsdClient {
         module: &str,
         calls: &[Vec<String>],
         cfg: &WindowConfig,
-    ) -> (Vec<WireOutcome>, BatchStats) {
+    ) -> (Vec<SdDispatch>, BatchStats) {
         let run = self.inner.invoke_window(module, calls, cfg);
         let outcomes = run
             .outcomes
             .into_iter()
-            .map(|outcome| match outcome {
-                Ok(outcome) => {
-                    let bytes = outcome.request_bytes + outcome.response_bytes;
-                    let wire = Duration::from_secs_f64(bytes as f64 * self.network_charge_per_byte);
-                    let cost = TimeBreakdown::network(self.latency * 2 + wire)
-                        + TimeBreakdown::overhead(outcome.elapsed);
-                    Ok((outcome.payload, cost))
-                }
-                Err(e) => Err(McsdError::SmartFam(e)),
-            })
+            .map(|outcome| self.wire(outcome))
+            .zip(run.resilience)
             .collect();
         (outcomes, run.stats)
+    }
+
+    /// Charge one call's log-file traffic to the network model: two
+    /// crossings of the fabric latency plus the request and response
+    /// bytes on the wire, plus the call's wall time as overhead.
+    fn wire(&self, outcome: Result<InvokeOutcome, SmartFamError>) -> WireOutcome {
+        let outcome = outcome.map_err(McsdError::SmartFam)?;
+        let bytes = outcome.request_bytes + outcome.response_bytes;
+        let wire = Duration::from_secs_f64(bytes as f64 * self.network_charge_per_byte);
+        let cost = TimeBreakdown::network(self.latency * 2 + wire)
+            + TimeBreakdown::overhead(outcome.elapsed);
+        Ok((outcome.payload, cost))
     }
 
     /// Whether the SD daemon heartbeat is fresh.
@@ -472,8 +445,9 @@ mod tests {
             &calls,
             &mcsd_smartfam::WindowConfig::with_depth(4),
         );
-        for (outcome, want) in outcomes.iter().zip(&expect) {
+        for ((outcome, stats), want) in outcomes.iter().zip(&expect) {
             let (payload, cost) = outcome.as_ref().unwrap();
+            assert_eq!(stats.attempts, 1);
             assert_eq!(&WordCountModule::decode(payload).unwrap(), want);
             assert!(cost.network > Duration::ZERO);
         }

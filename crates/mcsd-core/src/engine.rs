@@ -6,7 +6,7 @@
 //! heartbeat-load steering → dispatch → bounded retry/re-dispatch → host
 //! fallback → stats/trace/decision-log recording — and both front-ends
 //! are thin shells over it: [`crate::framework::McsdFramework`] drives
-//! [`Engine::run_call`] (one typed call against the live SD node) and
+//! [`Engine::run_calls`] (typed calls against the live SD node) and
 //! [`crate::multisd::MultiSdRunner`] drives [`Engine::run_span`] (one
 //! input span against a pool of modelled SD nodes). A single-SD
 //! `MultiSdRunner` and a `McsdFramework` therefore make *identical*
@@ -86,12 +86,12 @@ pub struct MemoryAdmission {
     pub footprint_factor: f64,
 }
 
-/// The host-side outcome of one resilient SD dispatch: payload + virtual
-/// cost (or the terminal error), alongside the recovery counters the
-/// attempt chain accumulated.
+/// The host-side outcome of one SD dispatch: payload + virtual cost (or
+/// the terminal error), alongside the recovery counters its attempts
+/// accumulated.
 pub type SdDispatch = (Result<(Vec<u8>, TimeBreakdown), McsdError>, ResilienceStats);
 
-/// Job-specific hooks [`Engine::run_call`] drives. A front-end implements
+/// Job-specific hooks [`Engine::run_calls`] drives. A front-end implements
 /// one spec per typed call (Word Count, String Match, MM…); the engine
 /// owns the placement pipeline around the hooks.
 pub trait OffloadCall {
@@ -636,48 +636,22 @@ impl Engine {
         Ok(OffloadDecision::FallbackToHost)
     }
 
-    /// Drive the full per-call state machine for one typed offload call:
+    /// Drive typed offload calls through the full per-call state machine:
     /// decide → breaker/load gate → memory admission → stage + dispatch →
     /// breaker feedback → decode, degrading to [`OffloadCall::run_host`]
-    /// on steer, host placement, or terminal SD failure. A one-element
-    /// [`Engine::run_calls`].
+    /// on steer, host placement, or terminal SD failure. A single call is
+    /// a one-element batch.
     ///
-    /// `queued_load` reads the daemon heartbeat's queued-request count
-    /// (`None` when no heartbeat is available); `dispatch` performs one
-    /// resilient module invocation. Both are closures so the engine stays
-    /// ignorant of the transport.
-    pub fn run_call<C: OffloadCall>(
-        &self,
-        call: &mut C,
-        queued_load: impl Fn() -> Option<u64>,
-        dispatch: impl FnOnce(&str, &[String]) -> SdDispatch,
-    ) -> Result<(C::Output, TimeBreakdown), McsdError> {
-        // The window is only dispatched when non-empty, so it holds
-        // exactly this call's request.
-        let mut out = self.run_calls(std::slice::from_mut(call), queued_load, |window| {
-            let (module, params) = &window[0];
-            vec![dispatch(module, params)]
-        });
-        // tidy:allow(MCSD002) -- construction invariant: run_calls returns exactly one result per call, and this batch holds one call
-        out.pop().expect("one call, one result")
-    }
-
-    /// Drive a *batch* of typed calls through the per-call state machine
-    /// (see [`Engine::run_call`]), with the SD dispatches grouped into one
-    /// pipelined window instead of N lockstep round trips (DESIGN.md §18).
-    ///
-    /// Every gate still applies **per request inside the batch**: each
-    /// call pays its own breaker admission + heartbeat-load check, its
-    /// own memory-budget admission, and its own breaker feedback; a call
-    /// that fails its gate is steered to the host without disturbing its
-    /// neighbours, and a call whose windowed dispatch fails degrades (or
-    /// surfaces its error) individually. Only the transport is batched.
-    ///
-    /// `dispatch_window` receives the `(module, params)` pairs of every
-    /// SD-admitted call, in submit order, and must return exactly one
-    /// [`SdDispatch`] per pair, in the same order — the framework backs
-    /// it with the host client's pipelined window. Results come back in
-    /// call order regardless of the SD node's completion order.
+    /// Every gate applies **per request inside the batch**; a call that
+    /// fails its gate is steered to the host, and a call whose dispatch
+    /// fails degrades (or surfaces its error), without disturbing its
+    /// neighbours. Only the transport is batched: `dispatch_window`
+    /// receives the `(module, params)` pairs of every SD-admitted call, in
+    /// submit order, and must return exactly one [`SdDispatch`] per pair,
+    /// in the same order — the framework backs it with the host client's
+    /// pipelined window (DESIGN.md §18). `queued_load` reads the daemon
+    /// heartbeat's queued-request count (`None` when no heartbeat is
+    /// available). Results come back in call order.
     pub fn run_calls<C: OffloadCall>(
         &self,
         calls: &mut [C],

@@ -221,21 +221,38 @@ impl McsdFramework {
         cost
     }
 
-    /// Drive one typed call through the engine's state machine, wrapped
-    /// in its end-to-end trace span. The closures hand the engine its
-    /// transport: the daemon heartbeat's queue depth for load steering
-    /// and the resilient smartFAM invocation for dispatch.
+    /// Drive one typed call through the engine's state machine: a
+    /// one-call window at depth 1, the framework's only transport.
     fn run_offloaded<C: OffloadCall>(
         &self,
         call: &mut C,
     ) -> Result<(C::Output, TimeBreakdown), McsdError> {
-        let span = self.engine.open_call_span(call.job());
-        let timeout = self.resilience.call_timeout;
-        let retry = &self.resilience.retry;
-        let out = self.engine.run_call(
-            call,
+        let mut out = self.run_window(call.job(), std::slice::from_mut(call), 1);
+        // tidy:allow(MCSD002) -- construction invariant: run_calls returns exactly one result per call, and this window holds one call
+        out.pop().expect("one call, one result")
+    }
+
+    /// Drive typed calls through [`Engine::run_calls`], wrapped in one
+    /// end-to-end trace span. The closures hand the engine its
+    /// transport: the daemon heartbeat's queue depth for load steering
+    /// and a pipelined window of `depth` for dispatch, under the
+    /// configured deadline and [`RetryPolicy`].
+    fn run_window<C: OffloadCall>(
+        &self,
+        job: &str,
+        calls: &mut [C],
+        depth: usize,
+    ) -> Vec<Result<(C::Output, TimeBreakdown), McsdError>> {
+        let window = WindowConfig {
+            depth,
+            call_timeout: self.resilience.call_timeout,
+            retry: self.resilience.retry,
+        };
+        let span = self.engine.open_call_span(job);
+        let out = self.engine.run_calls(
+            calls,
             || self.client.smartfam().daemon_load().map(|load| load.queued),
-            |module, params| self.client.invoke_resilient(module, params, timeout, retry),
+            |requests| self.dispatch_window(requests, &window),
         );
         self.engine.close_call_span(span);
         out
@@ -275,34 +292,30 @@ impl McsdFramework {
     /// (DESIGN.md §18): every call still pays its own placement decision,
     /// breaker/load gate, memory admission, and breaker feedback inside
     /// [`Engine::run_calls`], but the admitted calls share one in-flight
-    /// window instead of `files.len()` lockstep round trips — and the
-    /// daemon coalesces their response appends into one-fsync batch
-    /// commits. Results come back
-    /// in `files` order; per-call failures degrade individually.
+    /// window of up to `depth` requests instead of `files.len()` lockstep
+    /// round trips — and the daemon coalesces their response appends into
+    /// one-fsync batch commits. Each call's deadline and retry policy come
+    /// from [`ResilienceConfig`], as for every other framework call.
+    /// Results come back in `files` order; per-call failures degrade
+    /// individually.
     pub fn wordcount_window(
         &self,
         files: &[String],
         partition: Option<&str>,
-        window: &WindowConfig,
+        depth: usize,
     ) -> Result<Vec<WordcountOutcome>, McsdError> {
         let mut calls = files
             .iter()
             .map(|f| self.wordcount_call(f, partition))
             .collect::<Result<Vec<_>, _>>()?;
-        let span = self.engine.open_call_span("wordcount");
-        let out = self.engine.run_calls(
-            &mut calls,
-            || self.client.smartfam().daemon_load().map(|load| load.queued),
-            |requests| self.dispatch_window(requests, window),
-        );
-        self.engine.close_call_span(span);
-        Ok(out)
+        Ok(self.run_window("wordcount", &mut calls, depth))
     }
 
     /// Windowed transport behind [`Engine::run_calls`]: pipeline each
     /// consecutive same-module run of the admitted requests through the
     /// host client's in-flight window, absorbing the window-side batch
-    /// counters into the engine. Outcomes stay in request order.
+    /// counters into the engine. Outcomes stay in request order, each
+    /// with its own recovery counters.
     fn dispatch_window(
         &self,
         requests: &[(String, Vec<String>)],
@@ -319,11 +332,7 @@ impl McsdFramework {
             let params: Vec<Vec<String>> = requests[i..j].iter().map(|(_, p)| p.clone()).collect();
             let (outcomes, stats) = self.client.invoke_window(&module, &params, cfg);
             self.engine.absorb_batch(&stats);
-            out.extend(
-                outcomes
-                    .into_iter()
-                    .map(|outcome| (outcome, ResilienceStats::default())),
-            );
+            out.extend(outcomes);
             i = j;
         }
         out
@@ -697,9 +706,7 @@ mod tests {
             expect.push(seq::wordcount(&text));
             files.push(name);
         }
-        let out = fw
-            .wordcount_window(&files, None, &WindowConfig::with_depth(4))
-            .unwrap();
+        let out = fw.wordcount_window(&files, None, 4).unwrap();
         assert_eq!(out.len(), 6);
         for (got, want) in out.iter().zip(&expect) {
             let (pairs, cost) = got.as_ref().unwrap();
@@ -722,6 +729,81 @@ mod tests {
         assert!(batch.batches >= 1);
         assert!(batch.fsyncs <= batch.coalesced_appends);
         assert!(batch.window_occupancy >= 6);
+        fw.stop();
+    }
+
+    #[test]
+    fn windowed_shed_retries_reach_the_engine() {
+        use mcsd_smartfam::module::FnModule;
+        use mcsd_smartfam::watch::wait_for_file;
+        const TIMEOUT: Duration = Duration::from_secs(60);
+        // One execution slot and one queue spot: while a shut gate holds
+        // both, every windowed Word Count request is shed by arithmetic.
+        let resilience = ResilienceConfig {
+            max_in_flight: 1,
+            max_queued: 1,
+            ..ResilienceConfig::default()
+        };
+        let fw = McsdFramework::start_with(cluster(), OffloadPolicy::AlwaysSd, resilience).unwrap();
+        let mut files = Vec::new();
+        let mut expect = Vec::new();
+        for i in 0..2u64 {
+            let text = TextGen::with_seed(70 + i).generate(3_000);
+            let name = format!("s{i}.txt");
+            fw.stage_data_local(&name, &text).unwrap();
+            expect.push(seq::wordcount(&text));
+            files.push(name);
+        }
+        let root = fw.sd_node().data_root();
+        let (started, release) = (root.join("started.flag"), root.join("release.gate"));
+        let (flag, gate) = (started.clone(), release.clone());
+        fw.sd_node()
+            .registry()
+            .register(Arc::new(FnModule::new("gate", move |p: &[String]| {
+                std::fs::write(&flag, b"up").unwrap();
+                let waited = mcsd_phoenix::Stopwatch::start();
+                while !gate.exists() && !waited.expired(TIMEOUT) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(p.join("").into_bytes())
+            })));
+        let client = fw.sd_node().host_client();
+        let smartfam = client.smartfam();
+        let r0 = smartfam.submit("gate", &["r0".into()]).unwrap();
+        assert!(wait_for_file(&started, TIMEOUT, |len| len > 0));
+        let r1 = smartfam.submit("gate", &["r1".into()]).unwrap();
+        let waited = mcsd_phoenix::Stopwatch::start();
+        while smartfam.daemon_load().map(|load| load.queued) != Some(1) {
+            assert!(!waited.expired(TIMEOUT), "r1 never queued");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let out = std::thread::scope(|s| {
+            // Open the gate once both windowed requests have been shed;
+            // their retries then find free capacity.
+            s.spawn(|| {
+                let waited = mcsd_phoenix::Stopwatch::start();
+                while fw.sd_node().daemon_stats().shed < 2 && !waited.expired(TIMEOUT) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::fs::write(&release, b"go").unwrap();
+            });
+            fw.wordcount_window(&files, None, 2).unwrap()
+        });
+        assert_eq!(r0.wait(TIMEOUT).unwrap().payload, b"r0");
+        assert_eq!(r1.wait(TIMEOUT).unwrap().payload, b"r1");
+        for (got, want) in out.iter().zip(&expect) {
+            assert_eq!(&got.as_ref().unwrap().0, want);
+        }
+        // Every shed attempt was either retried or, as a call's last
+        // attempt, degraded to the host; both counts reach the engine.
+        let stats = fw.resilience_stats();
+        assert!(stats.overload.shed >= 2, "{stats}");
+        assert!(stats.retries >= 2, "{stats}");
+        assert_eq!(
+            stats.retries + stats.failovers,
+            stats.overload.shed,
+            "{stats}"
+        );
         fw.stop();
     }
 

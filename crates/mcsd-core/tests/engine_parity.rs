@@ -1,7 +1,7 @@
 //! Engine parity: the two front-ends of the unified scheduler make
 //! identical decisions.
 //!
-//! A [`McsdFramework`] drives `Engine::run_call` (typed calls against the
+//! A [`McsdFramework`] drives `Engine::run_calls` (typed calls against the
 //! live SD node); a single-SD [`MultiSdRunner`] drives `Engine::run_span`
 //! (input spans against modelled SD nodes). Both are thin shells over the
 //! same engine, so with the same breaker tuning and the same fault

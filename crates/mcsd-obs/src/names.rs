@@ -40,12 +40,9 @@ pub const SPAN_MCSD_REPROTECT: &str = "mcsd.reprotect";
 /// One coalesced daemon append batch from formation to its single-fsync
 /// commit; width = requests in the batch (decision).
 pub const SPAN_SD_BATCH: &str = "sd.batch";
-/// One pipelined host↔SD window run from first submit to last
-/// completion; width = calls completed (decision).
-pub const SPAN_HOST_WINDOW: &str = "host.window";
 
 /// Every span name the stack may emit.
-pub const ALL_SPANS: [&str; 12] = [
+pub const ALL_SPANS: [&str; 11] = [
     SPAN_PHOENIX_PARTITIONED,
     SPAN_PHOENIX_JOB,
     SPAN_PHOENIX_SPLIT,
@@ -57,18 +54,18 @@ pub const ALL_SPANS: [&str; 12] = [
     SPAN_CLUSTER_FETCH,
     SPAN_MCSD_REPROTECT,
     SPAN_SD_BATCH,
-    SPAN_HOST_WINDOW,
 ];
 
 // --------------------------------------------------------------- events
 
 /// Host wrote a request frame into a module's log file.
 pub const EVENT_HOST_SUBMIT: &str = "host.submit";
-/// Host started one resilient attempt.
+/// Host started one attempt of a call (`attempt` attr, from 1).
 pub const EVENT_HOST_ATTEMPT: &str = "host.attempt";
 /// Host scheduled a retry after a failed attempt.
 pub const EVENT_HOST_RETRY: &str = "host.retry";
-/// Final outcome of a resilient invocation (`status` attr: ok/error).
+/// Final outcome of a call, after its last attempt (`status` attr:
+/// ok/error).
 pub const EVENT_HOST_OUTCOME: &str = "host.outcome";
 /// Daemon scanned a fresh request from a log file.
 pub const EVENT_SD_REQUEST: &str = "sd.request";
@@ -143,11 +140,11 @@ pub const EVENT_SD_BATCH_COMMIT: &str = "sd.batch_commit";
 /// A torn batch tail was retried — only the frames past the durable
 /// prefix were re-appended (`retried` attr).
 pub const EVENT_SD_BATCH_RETRY: &str = "sd.batch_retry";
-/// The host shrank its pipelined in-flight window after an `Overloaded`
-/// reply or breaker-class failure (`depth` attr).
+/// The host halved its pipelined in-flight window after an `Overloaded`
+/// reply (`depth` attr: the new, smaller depth).
 pub const EVENT_HOST_WINDOW_SHRINK: &str = "host.window_shrink";
-/// The host refilled its pipelined window after completions freed slots
-/// (`depth` attr).
+/// The host grew its pipelined window by one slot after a full window
+/// of clean completions (`depth` attr).
 pub const EVENT_HOST_WINDOW_REFILL: &str = "host.window_refill";
 
 /// Every event type the stack may emit.

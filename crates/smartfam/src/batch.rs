@@ -18,6 +18,7 @@
 //! [`BatchStats`] is the seventh MCSD009-owned counter family; every
 //! field's mutation sites are pinned by the DESIGN.md §13 table.
 
+use crate::host::RetryPolicy;
 use std::time::Duration;
 
 /// Shape of the daemon's batched multi-worker executor.
@@ -52,8 +53,10 @@ pub struct WindowConfig {
     /// Maximum requests outstanding at once. Depth 1 degenerates to the
     /// lockstep protocol.
     pub depth: usize,
-    /// Per-call completion timeout.
+    /// Per-call deadline, covering all of the call's attempts.
     pub call_timeout: Duration,
+    /// Retry, backoff and liveness policy applied to every call.
+    pub retry: RetryPolicy,
 }
 
 impl Default for WindowConfig {
@@ -61,12 +64,13 @@ impl Default for WindowConfig {
         WindowConfig {
             depth: 16,
             call_timeout: Duration::from_secs(5),
+            retry: RetryPolicy::default(),
         }
     }
 }
 
 impl WindowConfig {
-    /// A window of the given depth with the default timeout.
+    /// A window of the given depth with the default deadline and policy.
     pub fn with_depth(depth: usize) -> WindowConfig {
         WindowConfig {
             depth: depth.max(1),
@@ -93,7 +97,8 @@ pub struct BatchStats {
     /// Sum of the in-flight depth observed at each pipelined submit;
     /// divide by attempts for mean window occupancy.
     pub window_occupancy: u64,
-    /// Window shrink steps taken on `Overloaded`/breaker-class signals.
+    /// Times an `Overloaded` reply halved the window. A shed at depth 1
+    /// cannot shrink it and is not counted.
     pub window_shrinks: u64,
     /// Completions that arrived out of submit order within a window.
     pub reordered_completions: u64,

@@ -1026,6 +1026,14 @@ impl DaemonCtx {
             return;
         };
         let writer = writer.with_faults(self.config.injector.clone(), LogRole::Daemon);
+        // Mirrors get every frame (including any whose primary append
+        // tears), before the primary commit makes a reply host-visible:
+        // the mirror is the recovery copy promote-time merge reads from.
+        if let Some(mirrors) = self.mirrors_for(path) {
+            for frame in frames {
+                mirrors.append(frame);
+            }
+        }
         let mut rest = frames;
         // Safety valve: a fault plan tearing every retry occurrence could
         // otherwise spin forever. Leftovers stay unanswered in the log
@@ -1068,14 +1076,6 @@ impl DaemonCtx {
                 &[("retried", &retried.to_string())],
             );
             rest = &rest[outcome.frames_durable..];
-        }
-        // Mirrors get every frame (including any whose primary append
-        // tore): the mirror is exactly the recovery copy promote-time
-        // merge reads from.
-        if let Some(mirrors) = self.mirrors_for(path) {
-            for frame in frames {
-                mirrors.append(frame);
-            }
         }
     }
 }

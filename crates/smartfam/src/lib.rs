@@ -63,9 +63,7 @@ pub use faults::{
     AppendFault, DispatchFault, FaultAction, FaultInjector, FaultPlan, FaultSite, InjectedFault,
     OverloadStats, ReplicaFault, ResilienceStats, ScheduledFault,
 };
-pub use host::{
-    HostClient, InvokeOutcome, Liveness, PendingCall, ResilientCall, RetryPolicy, WindowRun,
-};
+pub use host::{HostClient, InvokeOutcome, Liveness, PendingCall, RetryPolicy, WindowRun};
 pub use log_file::{BatchAppendOutcome, LogFile, LogRole};
 pub use module::{ModuleError, ModuleRegistry, ProcessingModule};
 pub use replica::{

@@ -60,9 +60,9 @@ impl Default for WatchConfig {
 /// idle sweep doubles the gap, and the gap is capped at the configured
 /// poll interval — so detection latency stays bounded by the interval
 /// while an idle waiter stops burning CPU. Progress resets the schedule
-/// to the floor. [`crate::host::PendingCall::wait`], the pipelined
-/// window, the resilient wait, and the watcher's own poll loop all pace
-/// themselves with this one schedule (DESIGN.md §18).
+/// to the floor. The host's one call loop (the pipelined window, also
+/// behind [`crate::host::PendingCall::wait`]) and the watcher's own poll
+/// loop pace themselves with this one schedule (DESIGN.md §18).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PollBackoff {
     floor: Duration,

@@ -14,7 +14,7 @@
 use mcsd_smartfam::module::FnModule;
 use mcsd_smartfam::{
     BatchConfig, Daemon, DaemonConfig, FaultAction, FaultInjector, FaultPlan, FaultSite,
-    HostClient, ModuleRegistry, RetryPolicy, SmartFamError,
+    HostClient, ModuleRegistry, RetryPolicy, SmartFamError, WindowConfig,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -230,8 +230,8 @@ fn crash_at_batch_boundary_replays_exactly_the_uncommitted_suffix() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The loop never blocks on a module: a run longer than the resilient
-/// client's `heartbeat_max_age` (1 s by default) must not stale the
+/// The loop never blocks on a module: a run longer than the host's
+/// default `heartbeat_max_age` (1 s) must not stale the
 /// heartbeat, or the host would declare a healthy daemon dead.
 #[test]
 fn long_module_run_keeps_the_heartbeat_fresh() {
@@ -245,10 +245,17 @@ fn long_module_run_keeps_the_heartbeat_fresh() {
         .spawn()
         .unwrap();
     let client = HostClient::new(&dir);
-    let call = client.invoke_resilient("long", &[], TIMEOUT, &RetryPolicy::default());
-    let out = call.outcome.expect("a slow module is not a dead daemon");
+    let cfg = WindowConfig {
+        depth: 1,
+        call_timeout: TIMEOUT,
+        retry: RetryPolicy::default(),
+    };
+    let run = client.invoke_window("long", &[Vec::new()], &cfg);
+    let out = run.outcomes[0]
+        .as_ref()
+        .expect("a slow module is not a dead daemon");
     assert_eq!(out.payload, b"done");
-    assert_eq!(call.stats.retries, 0);
+    assert_eq!(run.resilience[0].retries, 0);
     daemon.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
