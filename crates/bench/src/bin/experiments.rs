@@ -10,16 +10,19 @@
 //! live SD path and prints the recovery counters — the interactive
 //! counterpart of `crates/mcsd-core/tests/faults.rs`.
 //!
-//! `overload` (not part of `all` either) drives the overload-protection
-//! stack — circuit-breaker steering and memory-budget re-partitioning —
-//! and prints the decision log plus the `OverloadStats` counters, the
-//! interactive counterpart of `crates/mcsd-core/tests/overload.rs`.
+//! `overload` (not part of `all` either) runs the breaker and admission
+//! segments of the shared four-phase scenario
+//! (`mcsd_core::chaos::FourPhaseScenario`, seed 40) — circuit-breaker
+//! steering and memory-budget re-partitioning — and prints the decision
+//! log plus the `OverloadStats` counters, the interactive counterpart of
+//! `crates/mcsd-core/tests/overload.rs`.
 //!
-//! `trace` (not part of `all` either) runs a seeded four-phase
-//! observability scenario with the DESIGN.md §12 virtual-clock tracer on
-//! and writes `trace-<seed>.jsonl` plus `trace-<seed>.chrome.json` — two
-//! runs with the same `--seed` produce byte-identical files, which CI
-//! asserts with a plain `diff`.
+//! `trace` (not part of `all` either) runs all four segments of that
+//! scenario with the DESIGN.md §12 virtual-clock tracer on and writes
+//! `trace-<seed>.jsonl` plus `trace-<seed>.chrome.json` — two runs with
+//! the same `--seed` on hosts with the same core count produce
+//! byte-identical files, which CI asserts with a plain `diff`. Both
+//! subcommands exit non-zero if a segment violates a §16 invariant.
 //!
 //! `failover` (not part of `all` either) walks the DESIGN.md §15
 //! replication story on a live three-node group: the leader replica is
@@ -28,15 +31,13 @@
 //! sweep shows exact counter replay — the interactive counterpart of
 //! `crates/mcsd-core/tests/replication.rs`.
 //!
-//! `throughput` (not part of `all` either) times the same four-phase
-//! scenario and reports jobs/sec, engine decisions/sec through
-//! `Engine::run_calls`, and wall-clock, then times the §15 degraded mode
-//! (replicated group of three, one replica killed per run), the
-//! §17 rack-scale DES run (104 nodes, 1200 concurrent jobs), and the
-//! §18 batched-daemon call rate at pipelined window depths 1/4/16;
-//! `throughput --json` additionally writes `BENCH_10.json` into the
-//! working directory — every `BENCH_9.json` field plus the batched
-//! call rates and fsyncs-per-1k-calls, toward ROADMAP items 1 and 3.
+//! `throughput` (not part of `all` either) times the §15 degraded mode
+//! (replicated group of three, one replica killed per run), the §16
+//! chaos discovery pass over the shared four-phase scenario (probing
+//! counters on versus off), the §17 rack-scale DES run (104 nodes, 1200
+//! concurrent jobs), and the §18 batched-daemon call rate at pipelined
+//! window depths 1/4/16; `throughput --json` additionally writes
+//! `BENCH_10.json` into the working directory.
 //!
 //! `rack` (not part of `all` either) runs the DESIGN.md §17 rack-scale
 //! discrete-event scheduler — `--racks R` racks of (4 hosts + 9 SDs)
@@ -48,12 +49,12 @@
 //!
 //! `chaos` (not part of `all` either) runs the DESIGN.md §16
 //! deterministic fault-space sweep: discover every counter-deterministic
-//! `(site, occurrence)` injection point the replication-rounds and
-//! four-phase scenarios cross, re-run once per point × action, audit the
-//! invariant catalog (output, durability, at-most-once, fencing,
-//! conservation, convergence), and write `chaos-<seed>.json`. Exits
-//! non-zero on any invariant violation; same seed, same report bytes,
-//! which CI asserts with a plain `diff`.
+//! `(site, occurrence)` injection point the replication-rounds, shared
+//! four-phase and batched-echo scenarios cross, re-run once per point ×
+//! action, audit the invariant catalog (output, durability,
+//! at-most-once, fencing, conservation, convergence), and write
+//! `chaos-<seed>.json`. Exits non-zero on any invariant violation; same
+//! seed, same report bytes, which CI asserts with a plain `diff`.
 //!
 //! `batched` (not part of `all` either) pre-stages twelve echo requests
 //! and drives them through the DESIGN.md §18 batched executor — three
@@ -68,6 +69,7 @@
 use mcsd_bench::table::TextTable;
 use mcsd_bench::{ablation, fig8, pairs, ExperimentConfig};
 use mcsd_cluster::{paper_testbed, SandiaMicroBenchmark, Scale, SmbPattern};
+use mcsd_core::FourPhaseScenario;
 
 fn usage() -> ! {
     eprintln!(
@@ -132,329 +134,67 @@ fn fault_sweep(seeds: &[u64]) {
     println!();
 }
 
-/// Overload-protection walkthrough: a failing SD trips its circuit
-/// breaker and subsequent offloads are steered to the host until a
-/// half-open probe re-admits the node; then an over-footprint job is
-/// re-partitioned down to the SD node's memory budget. Both scenarios
-/// are seeded — re-running prints identical decisions and counters.
-fn overload_demo() {
-    use mcsd_apps::{seq, TextGen};
-    use mcsd_cluster::NodeRole;
-    use mcsd_core::{
-        BreakerConfig, FaultAction, FaultInjector, FaultPlan, FaultSite, McsdFramework,
-        OffloadPolicy, ResilienceConfig,
-    };
-    use std::time::Duration;
+/// Run `segments` of the shared four-phase scenario, each under its
+/// baked fault plan, and narrate every segment's decisions, degradations
+/// and counters. Exits non-zero if a segment errs or violates a §16
+/// invariant, so a broken clean run cannot pass for a demo or a trace.
+/// Returns the segments' summed counters.
+fn narrate_segments(
+    scenario: &FourPhaseScenario,
+    segments: &[usize],
+) -> (mcsd_smartfam::DaemonStats, mcsd_core::ResilienceStats) {
+    use mcsd_core::{chaos, ChaosScenario, FaultInjector};
 
-    println!("### Circuit breaker: failing SD steered around, then re-admitted\n");
-    let plan = FaultPlan::none()
-        .with(FaultSite::Dispatch, 0, FaultAction::Fail)
-        .with(FaultSite::Dispatch, 1, FaultAction::Fail);
-    let mut resilience = ResilienceConfig {
-        injector: FaultInjector::new(plan),
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_millis(3),
-            probe_quota: 1,
-        },
-        ..ResilienceConfig::default()
-    };
-    resilience.retry.max_attempts = 1;
-    resilience.retry.base_backoff = Duration::from_millis(1);
-    let mut cluster = paper_testbed(Scale::default_experiment());
-    for n in &mut cluster.nodes {
-        n.memory_bytes = 256 << 20;
-    }
-    let fw = McsdFramework::start_with(cluster, OffloadPolicy::DataIntensiveToSd, resilience)
-        .expect("framework boot");
-    let text = TextGen::with_seed(40).generate(20_000);
-    fw.stage_data_local("wc.txt", &text).expect("stage");
-    let oracle = seq::wordcount(&text);
-    for call in 0..6u32 {
-        let verdict = match fw.wordcount("wc.txt", Some("auto")) {
-            Ok((pairs, _)) if pairs == oracle => "output correct",
-            Ok(_) => "OUTPUT WRONG",
-            Err(_) => "typed error",
-        };
-        let (_, decision) = *fw.decision_log().last().expect("decision");
-        println!("call {call}: {decision:?} ({verdict})");
-    }
-    let stats = fw.resilience_stats();
-    println!("breaker: {:?}; {}", fw.breaker_state(), stats.overload);
-    for d in fw.degradations() {
-        println!("          degraded: {d}");
-    }
-    fw.stop();
-
-    println!("\n### Memory-budget admission: over-footprint job re-partitioned\n");
-    let mut cluster = paper_testbed(Scale::default_experiment());
-    for n in &mut cluster.nodes {
-        n.memory_bytes = if n.role == NodeRole::SmartStorage {
-            1 << 20
-        } else {
-            256 << 20
-        };
-    }
-    let fw = McsdFramework::start(cluster, OffloadPolicy::DataIntensiveToSd).expect("boot");
-    let text = TextGen::with_seed(41).generate(900_000);
-    fw.stage_data_local("big.txt", &text).expect("stage");
-    let verdict = match fw.wordcount("big.txt", None) {
-        Ok((pairs, _)) if pairs == seq::wordcount(&text) => "output correct",
-        Ok(_) => "OUTPUT WRONG",
-        Err(e) => {
-            println!("refused: {e}");
-            "typed error"
-        }
-    };
-    let stats = fw.resilience_stats();
-    println!(
-        "900 kB input on a 1 MiB SD node: {verdict}; {}",
-        stats.overload
-    );
-    fw.stop();
-    println!();
-}
-
-/// Aggregate outcome of one four-phase scenario run: the merged counter
-/// families plus the work volume the run pushed through the stack, so
-/// the `throughput` baseline and the `trace` walkthrough share one
-/// scenario definition.
-struct PhaseTotals {
-    daemon: mcsd_smartfam::DaemonStats,
-    resilience: mcsd_core::ResilienceStats,
-    /// Requests resolved end-to-end: daemon submissions (served, shed,
-    /// or expired) plus framework offload calls.
-    jobs: u64,
-    /// Offload decisions recorded by `Engine::run_calls` (the framework's
-    /// decision log), i.e. calls that went through the decision engine.
-    decisions: u64,
-}
-
-/// The seeded four-phase scenario behind `trace` and `throughput`:
-/// daemon saturation (typed sheds plus a deadline expiry),
-/// circuit-breaker steering, a torn-append retry, and memory-budget
-/// re-partitioning. `verbose` gates the narration; the traced event
-/// stream is identical either way.
-fn four_phases(seed: u64, tracer: &mcsd_obs::Tracer, verbose: bool) -> PhaseTotals {
-    use mcsd_apps::TextGen;
-    use mcsd_cluster::NodeRole;
-    use mcsd_core::{
-        BreakerConfig, FaultAction, FaultInjector, FaultPlan, FaultSite, McsdFramework,
-        OffloadPolicy, ResilienceConfig, ResilienceStats,
-    };
-    use mcsd_smartfam::module::FnModule;
-    use mcsd_smartfam::{DaemonStats, SmartFamError};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    const TIMEOUT: Duration = Duration::from_secs(60);
-    let mut daemon_totals = DaemonStats::default();
-    let mut resilience_totals = ResilienceStats::default();
-    let mut jobs: u64 = 0;
-    let mut decisions: u64 = 0;
-    let cluster = || {
-        let mut c = paper_testbed(Scale::default_experiment());
-        for n in &mut c.nodes {
-            n.memory_bytes = 256 << 20;
-        }
-        c
-    };
-
-    if verbose {
-        println!("### Phase A — saturation: 5 requests into 1 slot + 1 queue spot\n");
-    }
-    let resilience = ResilienceConfig {
-        max_in_flight: 1,
-        max_queued: 1,
-        tracer: tracer.clone(),
-        ..ResilienceConfig::default()
-    };
-    let fw = McsdFramework::start_with(cluster(), OffloadPolicy::DataIntensiveToSd, resilience)
-        .expect("framework boot");
-    let release = fw.sd_node().data_root().join("release.gate");
-    let gate = release.clone();
-    fw.sd_node()
-        .registry()
-        .register(Arc::new(FnModule::new("gate", move |p: &[String]| {
-            let t0 = Instant::now();
-            while !gate.exists() && t0.elapsed() < TIMEOUT {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Ok(p.join("").into_bytes())
-        })));
-    let client = fw.sd_node().host_client();
-    let smartfam = client.smartfam();
-    let mut pendings: Vec<_> = (0..5)
-        .map(|i| {
-            smartfam
-                .submit("gate", &[format!("r{i}")])
-                .expect("submit request")
-        })
-        .collect();
-    // r0 pins the only slot and r1 the only queue spot while the gate is
-    // shut, so the daemon must shed r2..r4 with typed replies.
-    let mut sheds = 0;
-    for pending in pendings.drain(2..) {
-        if let Err(SmartFamError::Overloaded { .. }) = pending.wait(TIMEOUT) {
-            sheds += 1;
-        }
-    }
-    if verbose {
-        println!("gate shut: {sheds} of 5 requests shed at admission (typed Overloaded)");
-    }
-    std::fs::write(&release, b"go").expect("open gate");
-    for pending in pendings {
-        pending.wait(TIMEOUT).expect("admitted request served");
-    }
-    let expired = smartfam
-        .submit_with_deadline("gate", &[], 1)
-        .expect("submit expired request");
-    let _ = expired.wait(TIMEOUT);
-    if verbose {
-        println!("gate open: admitted requests served; 1 expired deadline dropped at dequeue");
-    }
-    jobs += 6; // 5 gated submissions (2 served, 3 shed) + 1 expired deadline
-    decisions += fw.decision_log().len() as u64;
-    daemon_totals.absorb(&fw.sd_node().daemon_stats());
-    resilience_totals.absorb(&fw.resilience_stats());
-    fw.stop();
-
-    if verbose {
-        println!("\n### Phase B — breaker: failing SD steered around, then re-admitted\n");
-    }
-    // The §11 breaker scenario: two dispatch failures trip the breaker
-    // (threshold 2), the 3 ms cooldown steers two calls to the host, and
-    // a half-open probe re-admits the node for the rest.
-    let plan = FaultPlan::none()
-        .with(FaultSite::Dispatch, 0, FaultAction::Fail)
-        .with(FaultSite::Dispatch, 1, FaultAction::Fail);
-    let mut resilience = ResilienceConfig {
-        injector: FaultInjector::new(plan),
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_millis(3),
-            probe_quota: 1,
-        },
-        tracer: tracer.clone(),
-        ..ResilienceConfig::default()
-    };
-    resilience.retry.max_attempts = 1;
-    resilience.retry.base_backoff = Duration::from_millis(1);
-    let fw = McsdFramework::start_with(cluster(), OffloadPolicy::DataIntensiveToSd, resilience)
-        .expect("framework boot");
-    let text = TextGen::with_seed(seed).generate(20_000);
-    fw.stage_data_local("wc.txt", &text).expect("stage");
-    for _ in 0..6 {
-        fw.wordcount("wc.txt", Some("auto")).expect("wordcount");
-    }
-    if verbose {
-        for (job, decision) in fw.decision_log() {
+    let names = scenario.segment_names();
+    let mut daemon = mcsd_smartfam::DaemonStats::default();
+    let mut resilience = mcsd_core::ResilienceStats::default();
+    for &segment in segments {
+        let name = &names[segment];
+        println!("### Phase {} — {name}\n", char::from(b'A' + segment as u8));
+        let injector = FaultInjector::new(scenario.baked_plan(segment));
+        let run = scenario.run(segment, &injector).unwrap_or_else(|e| {
+            eprintln!("segment {name} failed: {e}");
+            std::process::exit(1);
+        });
+        for (job, decision) in &run.decisions {
             println!("{job}: {decision:?}");
         }
-        for d in fw.degradations() {
+        for d in &run.degradations {
             println!("degraded: {d}");
         }
+        println!("{}", run.resilience);
+        let violations = chaos::evaluate(&run.observation);
+        for (invariant, detail) in &violations {
+            eprintln!("VIOLATION [{}] {name}: {detail}", invariant.label());
+        }
+        if !violations.is_empty() {
+            std::process::exit(1);
+        }
+        println!("all outputs correct\n");
+        daemon.absorb(&run.daemon);
+        resilience.absorb(&run.resilience);
     }
-    jobs += 6;
-    decisions += fw.decision_log().len() as u64;
-    daemon_totals.absorb(&fw.sd_node().daemon_stats());
-    resilience_totals.absorb(&fw.resilience_stats());
-    fw.stop();
-
-    if verbose {
-        println!("\n### Phase C — retry: a torn request append recovered on the second attempt\n");
-    }
-    // The host's first append is torn mid-frame; the typed FaultInjected
-    // error is transient, so the host client backs off, retries, and
-    // the daemon's recovering reader skips the corrupt bytes.
-    let plan = FaultPlan::none().with(
-        FaultSite::HostAppend,
-        0,
-        FaultAction::Torn { keep_sixteenths: 8 },
-    );
-    let mut resilience = ResilienceConfig {
-        injector: FaultInjector::new(plan),
-        tracer: tracer.clone(),
-        ..ResilienceConfig::default()
-    };
-    resilience.retry.max_attempts = 2;
-    resilience.retry.base_backoff = Duration::from_millis(1);
-    let fw = McsdFramework::start_with(cluster(), OffloadPolicy::DataIntensiveToSd, resilience)
-        .expect("framework boot");
-    let text = TextGen::with_seed(seed).generate(20_000);
-    fw.stage_data_local("wc.txt", &text).expect("stage");
-    fw.wordcount("wc.txt", Some("auto")).expect("wordcount");
-    let stats = fw.resilience_stats();
-    if verbose {
-        println!(
-            "call served on attempt 2: {} retry, {} corrupt bytes skipped",
-            stats.retries, stats.corrupt_skipped_bytes
-        );
-    }
-    jobs += 1;
-    decisions += fw.decision_log().len() as u64;
-    daemon_totals.absorb(&fw.sd_node().daemon_stats());
-    resilience_totals.absorb(&stats);
-    fw.stop();
-
-    if verbose {
-        println!("\n### Phase D — memory admission: 900 kB job onto a 1 MiB SD node\n");
-    }
-    let mut tight = paper_testbed(Scale::default_experiment());
-    for n in &mut tight.nodes {
-        n.memory_bytes = if n.role == NodeRole::SmartStorage {
-            1 << 20
-        } else {
-            256 << 20
-        };
-    }
-    let resilience = ResilienceConfig {
-        tracer: tracer.clone(),
-        ..ResilienceConfig::default()
-    };
-    let fw = McsdFramework::start_with(tight, OffloadPolicy::DataIntensiveToSd, resilience)
-        .expect("framework boot");
-    let text = TextGen::with_seed(seed.wrapping_add(1)).generate(900_000);
-    fw.stage_data_local("big.txt", &text).expect("stage");
-    fw.wordcount("big.txt", None).expect("wordcount");
-    let halvings = fw.resilience_stats().overload.repartitions;
-    if verbose {
-        println!("fragment halved {halvings}x to fit the SD node's memory budget");
-    }
-    jobs += 1;
-    decisions += fw.decision_log().len() as u64;
-    daemon_totals.absorb(&fw.sd_node().daemon_stats());
-    resilience_totals.absorb(&fw.resilience_stats());
-    fw.stop();
-
-    PhaseTotals {
-        daemon: daemon_totals,
-        resilience: resilience_totals,
-        jobs,
-        decisions,
-    }
+    (daemon, resilience)
 }
 
 /// Deterministic observability walkthrough (DESIGN.md §12): one shared
-/// virtual-clock tracer follows the four seeded phases, then exports the
-/// whole run as JSON-lines and Chrome `trace_event` files.
-/// Same seed, same bytes: CI runs this twice and diffs the outputs.
+/// virtual-clock tracer follows the four-phase scenario's segments, then
+/// exports the whole run as JSON-lines and Chrome `trace_event` files.
+/// Same seed and host core count, same bytes: CI runs this twice and
+/// diffs the outputs.
 fn trace_run(seed: u64) {
     use mcsd_obs::export::{chrome, jsonl_with, JsonlOptions};
     use mcsd_obs::{MetricsRegistry, Tracer};
 
     let tracer = Tracer::enabled();
-    let totals = four_phases(seed, &tracer, true);
+    let scenario = FourPhaseScenario::new(seed).with_tracer(tracer.clone());
+    let (daemon, resilience) = narrate_segments(&scenario, &[0, 1, 2, 3]);
 
     // One unified registry for the whole run, filled through the typed
     // single-owner publish methods.
     let registry = MetricsRegistry::new();
-    totals
-        .daemon
-        .publish(&registry)
-        .expect("publish daemon counters");
-    totals
-        .resilience
+    daemon.publish(&registry).expect("publish daemon counters");
+    resilience
         .publish(&registry)
         .expect("publish resilience counters");
     let jsonl = jsonl_with(
@@ -470,10 +210,48 @@ fn trace_run(seed: u64) {
     std::fs::write(&jsonl_path, &jsonl).expect("write jsonl trace");
     std::fs::write(&chrome_path, &chrome_json).expect("write chrome trace");
     println!(
-        "\nwrote {jsonl_path} ({} lines) and {chrome_path} — same seed, same bytes",
+        "wrote {jsonl_path} ({} lines) and {chrome_path} — same seed, same bytes",
         jsonl.lines().count()
     );
     println!();
+}
+
+/// A live replicated group of three SD nodes (256 MiB each) — the §15
+/// failover topology shared by `failover` and `throughput`.
+fn group_of_three() -> mcsd_core::MultiSdRunner {
+    let mut cluster = mcsd_cluster::multi_sd_testbed(Scale::default_experiment(), 3);
+    for n in &mut cluster.nodes {
+        n.memory_bytes = 256 << 20;
+    }
+    mcsd_core::MultiSdRunner::new(cluster).expect("runner boot")
+}
+
+/// The §15 kill-one-replica run: a replicated Word Count over `text`
+/// whose leader replica crashes mid-run, traced onto `tracer`. The span
+/// finishes as a promotion, not a re-dispatch.
+fn kill_leader_run(
+    runner: &mcsd_core::MultiSdRunner,
+    text: &[u8],
+    dir: &std::path::Path,
+    tracer: &mcsd_obs::Tracer,
+) -> mcsd_core::MultiSdReport<String, u64> {
+    use mcsd_apps::WordCount;
+    use mcsd_core::{ExecMode, FaultAction, FaultInjector, FaultPlan, FaultSite, ReplicationSetup};
+
+    // Replica-site occurrences advance once per (entry, member) pair, so
+    // occurrence 9 is the leader copy of span 1's response round — the
+    // crash lands after the module work is already durable on a mirror.
+    let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
+    runner
+        .run_replicated(
+            &WordCount,
+            &WordCount::merger(),
+            text,
+            ExecMode::Parallel,
+            &FaultInjector::new(plan),
+            &ReplicationSetup::new(dir).with_tracer(tracer.clone()),
+        )
+        .expect("replicated run")
 }
 
 /// Failover walkthrough (DESIGN.md §15): a live three-member log group
@@ -489,20 +267,10 @@ fn trace_run(seed: u64) {
 /// seed, same bytes, which CI asserts with a plain `diff`.
 fn failover_demo(seed: u64) {
     use mcsd_apps::{seq, TextGen, WordCount};
-    use mcsd_cluster::multi_sd_testbed;
-    use mcsd_core::{
-        ExecMode, FaultAction, FaultInjector, FaultPlan, FaultSite, MultiSdRunner, ReplicationSetup,
-    };
+    use mcsd_core::{ExecMode, FaultInjector, FaultPlan, ReplicationSetup};
     use mcsd_obs::export::{jsonl_with, JsonlOptions};
     use mcsd_obs::{MetricsRegistry, Tracer};
 
-    let runner = || {
-        let mut cluster = multi_sd_testbed(Scale::default_experiment(), 3);
-        for n in &mut cluster.nodes {
-            n.memory_bytes = 256 << 20;
-        }
-        MultiSdRunner::new(cluster).expect("runner boot")
-    };
     let log_dir = |tag: &str| {
         let dir = std::env::temp_dir().join(format!("mcsd-failover-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("log dir");
@@ -512,22 +280,9 @@ fn failover_demo(seed: u64) {
     let oracle = seq::wordcount(&text);
 
     println!("### Kill one replica mid-run: promotion, not re-execution\n");
-    // Replica-site occurrences advance once per (entry, member) pair, so
-    // occurrence 9 is the leader copy of span 1's response round — the
-    // crash lands after the module work is already durable on a mirror.
-    let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
     let dir = log_dir("kill");
     let tracer = Tracer::enabled();
-    let out = runner()
-        .run_replicated(
-            &WordCount,
-            &WordCount::merger(),
-            &text,
-            ExecMode::Parallel,
-            &FaultInjector::new(plan),
-            &ReplicationSetup::new(&dir).with_tracer(tracer.clone()),
-        )
-        .expect("replicated run");
+    let out = kill_leader_run(&group_of_three(), &text, &dir, &tracer);
     let verdict = if out.pairs == oracle {
         "output correct"
     } else {
@@ -565,7 +320,7 @@ fn failover_demo(seed: u64) {
         let mut runs = Vec::new();
         for pass in 0..2 {
             let dir = log_dir(&format!("sweep-{s}-{pass}"));
-            let out = runner()
+            let out = group_of_three()
                 .run_replicated(
                     &WordCount,
                     &WordCount::merger(),
@@ -608,38 +363,21 @@ fn failover_demo(seed: u64) {
 /// not a re-dispatch). Returns `(jobs, wall_clock_secs)` where a job is
 /// one completed span.
 fn degraded_throughput(seed: u64) -> (u64, f64) {
-    use mcsd_apps::{seq, TextGen, WordCount};
-    use mcsd_cluster::multi_sd_testbed;
-    use mcsd_core::{
-        ExecMode, FaultAction, FaultInjector, FaultPlan, FaultSite, MultiSdRunner,
-        ReplicationSetup, SpanOutcome,
-    };
+    use mcsd_apps::{seq, TextGen};
+    use mcsd_core::SpanOutcome;
+    use mcsd_obs::Tracer;
     use std::time::Instant;
 
     const RUNS: u64 = 8;
     let text = TextGen::with_seed(seed).generate(60_000);
     let oracle = seq::wordcount(&text);
-    let mut cluster = multi_sd_testbed(Scale::default_experiment(), 3);
-    for n in &mut cluster.nodes {
-        n.memory_bytes = 256 << 20;
-    }
-    let runner = MultiSdRunner::new(cluster).expect("runner boot");
+    let runner = group_of_three();
     let t0 = Instant::now();
     let mut jobs = 0u64;
     for run in 0..RUNS {
         let dir = std::env::temp_dir().join(format!("mcsd-degraded-{}-{run}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("log dir");
-        let plan = FaultPlan::none().with(FaultSite::Replica, 9, FaultAction::CrashBefore);
-        let out = runner
-            .run_replicated(
-                &WordCount,
-                &WordCount::merger(),
-                &text,
-                ExecMode::Parallel,
-                &FaultInjector::new(plan),
-                &ReplicationSetup::new(&dir),
-            )
-            .expect("degraded run");
+        let out = kill_leader_run(&runner, &text, &dir, &Tracer::disabled());
         assert_eq!(out.pairs, oracle, "degraded run produced wrong output");
         assert!(
             out.outcomes
@@ -694,34 +432,17 @@ fn batched_call_rate(seed: u64, depth: usize, calls: usize) -> (f64, mcsd_smartf
     (calls as f64 / wall, stats)
 }
 
-/// First perf baseline toward ROADMAP item 1: run the seeded four-phase
-/// scenario (tracer on, exports off) and report jobs/sec, engine
-/// decisions/sec through `Engine::run_calls`, and wall-clock, then the
-/// §15 degraded mode (group of three, one replica killed per run) and
-/// the §16 chaos discovery pass's clean-run overhead (probing counters
-/// on versus off over the chaos-tolerant four-phase segments), and the
-/// §17 rack-scale DES run (104 nodes, 1200 concurrent jobs), and the
-/// §18 batched-daemon call rate at pipelined window depths 1/4/16. With
-/// `--json`, also write `BENCH_10.json` into the working directory — run
-/// from the repo root to refresh the committed baseline. The absolute
-/// numbers include the scenario's deliberate stalls (gate polling,
-/// breaker cooldowns), so they are a trajectory marker, not a peak-rate
-/// claim; later PRs must beat this same command's output.
+/// Timing baselines: the §15 degraded mode (group of three, one replica
+/// killed per run), the §16 chaos discovery pass's clean-run overhead
+/// (probing counters on versus off over the four-phase segments), the
+/// §17 rack-scale DES run (104 nodes, 1200 concurrent jobs), and the §18
+/// batched-daemon call rate at pipelined window depths 1/4/16. With
+/// `--json`, also write `BENCH_10.json` into the working directory. The
+/// single-shot wall-clock rates are a trajectory marker, not a peak-rate
+/// claim; the CI guard reads only the window-16 : window-1 ratio.
 fn throughput_run(seed: u64, json: bool) {
-    use mcsd_obs::Tracer;
     use std::time::Instant;
 
-    let tracer = Tracer::enabled();
-    let t0 = Instant::now();
-    let totals = four_phases(seed, &tracer, false);
-    let wall = t0.elapsed().as_secs_f64();
-    let jobs_per_sec = totals.jobs as f64 / wall;
-    let decisions_per_sec = totals.decisions as f64 / wall;
-    println!(
-        "jobs: {} ({jobs_per_sec:.2}/s); engine decisions: {} ({decisions_per_sec:.2}/s); \
-         wall-clock: {wall:.3}s",
-        totals.jobs, totals.decisions
-    );
     let (degraded_jobs, degraded_wall) = degraded_throughput(seed);
     let degraded_jobs_per_sec = degraded_jobs as f64 / degraded_wall;
     println!(
@@ -766,15 +487,11 @@ fn throughput_run(seed: u64, json: bool) {
     if json {
         let body = format!(
             "{{\n  \"bench\": \"throughput\",\n  \"pr\": 10,\n  \"seed\": {seed},\n  \
-             \"scenario\": \"four-phase trace scenario (DESIGN.md section 12)\",\n  \
-             \"jobs\": {},\n  \"engine_decisions\": {},\n  \"wall_clock_secs\": {wall:.3},\n  \
-             \"jobs_per_sec\": {jobs_per_sec:.2},\n  \
-             \"engine_decisions_per_sec\": {decisions_per_sec:.2},\n  \
              \"degraded_scenario\": \"replicated group of 3, leader replica killed mid-run (DESIGN.md section 15)\",\n  \
              \"degraded_jobs\": {degraded_jobs},\n  \
              \"degraded_wall_clock_secs\": {degraded_wall:.3},\n  \
              \"degraded_jobs_per_sec\": {degraded_jobs_per_sec:.2},\n  \
-             \"chaos_scenario\": \"chaos-tolerant four-phase segments, clean pass (DESIGN.md section 16)\",\n  \
+             \"chaos_scenario\": \"four-phase segments, clean pass (DESIGN.md section 16)\",\n  \
              \"chaos_points\": {probe_points},\n  \
              \"chaos_clean_wall_clock_secs\": {plain_wall:.3},\n  \
              \"chaos_probed_wall_clock_secs\": {probe_wall:.3},\n  \
@@ -795,8 +512,6 @@ fn throughput_run(seed: u64, json: bool) {
              \"batched_calls_per_sec_window16\": {rate16:.2},\n  \
              \"batched_speedup_window16_over_window1\": {:.2},\n  \
              \"batched_fsyncs_per_1k_calls_window16\": {fsyncs_per_1k}\n}}\n",
-            totals.jobs,
-            totals.decisions,
             rack.report.nodes,
             rack.report.sds,
             rack_cfg.jobs,
@@ -868,387 +583,6 @@ fn rack_run(racks: u32, jobs: u64, seed: u64) {
     println!();
 }
 
-/// Chaos-tolerant re-implementation of the four-phase scenario for the
-/// DESIGN.md §16 sweep. Deliberately a *separate* implementation from
-/// [`four_phases`]: that function's trace bytes are pinned by CI, while
-/// this one must absorb an arbitrary injected fault at every discovered
-/// point — every wait is short, nothing fault-reachable is `expect`ed,
-/// and the only hard failure is silently wrong output.
-///
-/// Per-segment action sets are restricted (`actions`) so the full sweep
-/// stays inside the CI budget; the segment-local baked plans (phase B's
-/// dispatch failures, phase C's torn append) surface as *shadowed*
-/// points in the report rather than being double-injected.
-struct FourPhaseScenario {
-    seed: u64,
-}
-
-impl FourPhaseScenario {
-    /// Host-side wait budget per pending call. Generous against CI
-    /// scheduling jitter on the clean path (which never waits anywhere
-    /// near this long), tight enough that injected daemon crashes cost
-    /// seconds, not minutes.
-    const WAIT: std::time::Duration = std::time::Duration::from_secs(2);
-
-    fn cluster() -> mcsd_cluster::Cluster {
-        let mut c = paper_testbed(Scale::default_experiment());
-        for n in &mut c.nodes {
-            n.memory_bytes = 256 << 20;
-        }
-        c
-    }
-
-    /// Liveness bounds shared by every segment: crash detection well
-    /// under the wait budget, but heartbeat tolerance wide enough (16
-    /// missed 50 ms beats) that a busy runner is never mistaken for a
-    /// dead daemon on the clean pass.
-    fn tighten(r: &mut mcsd_core::ResilienceConfig) {
-        use std::time::Duration;
-        r.retry.heartbeat_max_age = Duration::from_millis(800);
-        r.retry.probe_interval = Duration::from_millis(25);
-        r.retry.base_backoff = Duration::from_millis(1);
-        r.call_timeout = Self::WAIT;
-    }
-
-    fn daemon_conservation(d: &mcsd_smartfam::DaemonStats) -> mcsd_core::ConservationCheck {
-        mcsd_core::ConservationCheck::ge(
-            "daemon requests >= ok + module_errors + unknown + shed + expired + quarantine_rejected",
-            d.requests,
-            d.ok + d.module_errors + d.unknown_module + d.shed + d.expired + d.quarantine_rejected,
-        )
-    }
-
-    fn resilience_conservation(r: &mcsd_core::ResilienceStats) -> mcsd_core::ConservationCheck {
-        mcsd_core::ConservationCheck::ge("attempts >= retries", r.attempts, r.retries)
-    }
-
-    /// Phase A — admission control under saturation: 1 slot, 1 queue
-    /// spot, 5 gated requests plus a pre-expired deadline.
-    fn saturation(
-        &self,
-        injector: &mcsd_core::FaultInjector,
-    ) -> Result<mcsd_core::ChaosObservation, mcsd_core::McsdError> {
-        use mcsd_core::{
-            ChaosObservation, McsdError, McsdFramework, OffloadPolicy, ResilienceConfig,
-        };
-        use mcsd_smartfam::module::FnModule;
-        use mcsd_smartfam::SmartFamError;
-        use std::sync::Arc;
-        use std::time::{Duration, Instant};
-
-        // The baseline (discovery) pass runs with an empty probing plan;
-        // only there are the exact shed/served counts part of the output
-        // contract. Injected runs may disturb them arbitrarily.
-        let strict = injector.plan().is_empty();
-        let mut resilience = ResilienceConfig {
-            max_in_flight: 1,
-            max_queued: 1,
-            injector: injector.clone(),
-            ..ResilienceConfig::default()
-        };
-        Self::tighten(&mut resilience);
-        let fw = McsdFramework::start_with(
-            Self::cluster(),
-            OffloadPolicy::DataIntensiveToSd,
-            resilience,
-        )?;
-        let release = fw.sd_node().data_root().join("release.gate");
-        let gate = release.clone();
-        fw.sd_node()
-            .registry()
-            .register(Arc::new(FnModule::new("gate", move |p: &[String]| {
-                let t0 = Instant::now();
-                while !gate.exists() && t0.elapsed() < Duration::from_secs(5) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok(p.join("").into_bytes())
-            })));
-        let client = fw.sd_node().host_client();
-        let smartfam = client.smartfam();
-
-        let mut wrong = false;
-        // Once one wait times out on something other than a typed shed,
-        // the daemon is presumed dead and the remaining waits shrink to a
-        // token poll — bounds crash cases to seconds instead of
-        // `6 × WAIT`.
-        let mut dead = false;
-        let budget = |dead: bool| {
-            if dead {
-                Duration::from_millis(50)
-            } else {
-                Self::WAIT
-            }
-        };
-
-        let mut gated = Vec::new();
-        let mut queued = Vec::new();
-        for i in 0..5u32 {
-            // A submit can fail with a typed host-side error under an
-            // injected append fault; that is an acceptable outcome, the
-            // request simply never entered the system.
-            match smartfam.submit("gate", &[format!("r{i}")]) {
-                Ok(p) if i < 2 => queued.push((i, p)),
-                Ok(p) => gated.push((i, p)),
-                Err(_) => {}
-            }
-        }
-        let mut sheds = 0u32;
-        for (i, p) in gated {
-            match p.wait(budget(dead)) {
-                Ok(out) => {
-                    if out.payload != format!("r{i}").into_bytes() {
-                        wrong = true;
-                    }
-                }
-                Err(SmartFamError::Overloaded { .. }) => sheds += 1,
-                Err(_) => dead = true,
-            }
-        }
-        std::fs::write(&release, b"go").map_err(McsdError::from)?;
-        let mut served = 0u32;
-        for (i, p) in queued {
-            match p.wait(budget(dead)) {
-                Ok(out) => {
-                    if out.payload == format!("r{i}").into_bytes() {
-                        served += 1;
-                    } else {
-                        wrong = true;
-                    }
-                }
-                Err(SmartFamError::Overloaded { .. }) => {}
-                Err(_) => dead = true,
-            }
-        }
-        if let Ok(p) = smartfam.submit_with_deadline("gate", &[], 1) {
-            // Clean outcome is a typed deadline-expired reply; anything
-            // else a fault may produce is equally acceptable.
-            let _ = p.wait(budget(dead));
-        }
-        if strict && (sheds != 3 || served != 2) {
-            wrong = true;
-        }
-
-        let daemon = fw.sd_node().daemon_stats();
-        let stats = fw.resilience_stats();
-        fw.stop();
-        let mut obs = ChaosObservation::clean();
-        obs.outputs_correct = !wrong;
-        obs.conservation = vec![
-            Self::daemon_conservation(&daemon),
-            Self::resilience_conservation(&stats),
-        ];
-        Ok(obs)
-    }
-
-    /// Phase B — circuit breaker: two baked dispatch failures trip the
-    /// breaker, later calls steer to the host and a half-open probe
-    /// re-admits the node.
-    fn breaker(
-        &self,
-        injector: &mcsd_core::FaultInjector,
-    ) -> Result<mcsd_core::ChaosObservation, mcsd_core::McsdError> {
-        use mcsd_apps::{seq, TextGen};
-        use mcsd_core::{
-            BreakerConfig, ChaosObservation, ConservationCheck, McsdFramework, OffloadPolicy,
-            ResilienceConfig,
-        };
-        use std::time::Duration;
-
-        let mut resilience = ResilienceConfig {
-            injector: injector.clone(),
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown: Duration::from_millis(3),
-                probe_quota: 1,
-            },
-            ..ResilienceConfig::default()
-        };
-        Self::tighten(&mut resilience);
-        resilience.retry.max_attempts = 1;
-        let fw = McsdFramework::start_with(
-            Self::cluster(),
-            OffloadPolicy::DataIntensiveToSd,
-            resilience,
-        )?;
-        let text = TextGen::with_seed(self.seed).generate(20_000);
-        fw.stage_data_local("wc.txt", &text)?;
-        let oracle = seq::wordcount(&text);
-        let mut wrong = false;
-        for _ in 0..6 {
-            // An Err here is a typed error under injection — acceptable.
-            if let Ok((pairs, _)) = fw.wordcount("wc.txt", Some("auto")) {
-                wrong |= pairs != oracle;
-            }
-        }
-        let daemon = fw.sd_node().daemon_stats();
-        let stats = fw.resilience_stats();
-        fw.stop();
-        let mut obs = ChaosObservation::clean();
-        obs.outputs_correct = !wrong;
-        obs.conservation = vec![
-            Self::daemon_conservation(&daemon),
-            Self::resilience_conservation(&stats),
-            // probe_quota is 1, so every half-open probe is preceded by
-            // its own transition into the open state.
-            ConservationCheck::ge(
-                "breaker opens >= half-open probes",
-                stats.overload.breaker_opens,
-                stats.overload.half_open_probes,
-            ),
-        ];
-        Ok(obs)
-    }
-
-    /// Phase C — retry: the baked torn request append is recovered on
-    /// the second attempt.
-    fn retry(
-        &self,
-        injector: &mcsd_core::FaultInjector,
-    ) -> Result<mcsd_core::ChaosObservation, mcsd_core::McsdError> {
-        use mcsd_apps::{seq, TextGen};
-        use mcsd_core::{ChaosObservation, McsdFramework, OffloadPolicy, ResilienceConfig};
-
-        let mut resilience = ResilienceConfig {
-            injector: injector.clone(),
-            ..ResilienceConfig::default()
-        };
-        Self::tighten(&mut resilience);
-        resilience.retry.max_attempts = 2;
-        let fw = McsdFramework::start_with(
-            Self::cluster(),
-            OffloadPolicy::DataIntensiveToSd,
-            resilience,
-        )?;
-        let text = TextGen::with_seed(self.seed).generate(20_000);
-        fw.stage_data_local("wc.txt", &text)?;
-        let oracle = seq::wordcount(&text);
-        let wrong = match fw.wordcount("wc.txt", Some("auto")) {
-            Ok((pairs, _)) => pairs != oracle,
-            Err(_) => false,
-        };
-        let daemon = fw.sd_node().daemon_stats();
-        let stats = fw.resilience_stats();
-        fw.stop();
-        let mut obs = ChaosObservation::clean();
-        obs.outputs_correct = !wrong;
-        obs.conservation = vec![
-            Self::daemon_conservation(&daemon),
-            Self::resilience_conservation(&stats),
-        ];
-        Ok(obs)
-    }
-
-    /// Phase D — memory admission: a 900 kB job onto a 1 MiB SD node is
-    /// re-partitioned down to budget before dispatch.
-    fn admission(
-        &self,
-        injector: &mcsd_core::FaultInjector,
-    ) -> Result<mcsd_core::ChaosObservation, mcsd_core::McsdError> {
-        use mcsd_apps::{seq, TextGen};
-        use mcsd_cluster::NodeRole;
-        use mcsd_core::{
-            ChaosObservation, ConservationCheck, McsdFramework, OffloadPolicy, ResilienceConfig,
-        };
-
-        let mut tight = paper_testbed(Scale::default_experiment());
-        for n in &mut tight.nodes {
-            n.memory_bytes = if n.role == NodeRole::SmartStorage {
-                1 << 20
-            } else {
-                256 << 20
-            };
-        }
-        let mut resilience = ResilienceConfig {
-            injector: injector.clone(),
-            ..ResilienceConfig::default()
-        };
-        Self::tighten(&mut resilience);
-        resilience.retry.max_attempts = 2;
-        let fw = McsdFramework::start_with(tight, OffloadPolicy::DataIntensiveToSd, resilience)?;
-        let text = TextGen::with_seed(self.seed.wrapping_add(1)).generate(900_000);
-        fw.stage_data_local("big.txt", &text)?;
-        let wrong = match fw.wordcount("big.txt", None) {
-            Ok((pairs, _)) => pairs != seq::wordcount(&text),
-            Err(_) => false,
-        };
-        let daemon = fw.sd_node().daemon_stats();
-        let stats = fw.resilience_stats();
-        fw.stop();
-        let mut obs = ChaosObservation::clean();
-        obs.outputs_correct = !wrong;
-        obs.conservation = vec![
-            Self::daemon_conservation(&daemon),
-            Self::resilience_conservation(&stats),
-            // Re-partitioning is a host-side admission decision taken
-            // before any fault-reachable dispatch, so it happens in every
-            // run, injected or not.
-            ConservationCheck::ge(
-                "over-budget job re-partitioned at least once",
-                stats.overload.repartitions,
-                1,
-            ),
-        ];
-        Ok(obs)
-    }
-}
-
-impl mcsd_core::ChaosScenario for FourPhaseScenario {
-    fn name(&self) -> &str {
-        "four-phase"
-    }
-
-    fn segment_names(&self) -> Vec<String> {
-        ["saturation", "breaker", "retry", "admission"]
-            .into_iter()
-            .map(String::from)
-            .collect()
-    }
-
-    fn baked_plan(&self, segment: usize) -> mcsd_core::FaultPlan {
-        use mcsd_core::{FaultAction, FaultPlan, FaultSite};
-        match segment {
-            1 => FaultPlan::none()
-                .with(FaultSite::Dispatch, 0, FaultAction::Fail)
-                .with(FaultSite::Dispatch, 1, FaultAction::Fail),
-            2 => FaultPlan::none().with(
-                FaultSite::HostAppend,
-                0,
-                FaultAction::Torn { keep_sixteenths: 8 },
-            ),
-            _ => FaultPlan::none(),
-        }
-    }
-
-    // One representative action per corruption family keeps the sweep
-    // inside the CI budget; crash coverage at dispatch stays complete.
-    fn actions(&self, site: mcsd_core::FaultSite) -> Vec<mcsd_core::FaultAction> {
-        use mcsd_core::{FaultAction, FaultSite};
-        match site {
-            FaultSite::HostAppend => vec![FaultAction::Torn { keep_sixteenths: 8 }],
-            FaultSite::SdAppend => vec![FaultAction::Corrupt { xor_mask: 0x20 }],
-            FaultSite::Dispatch => vec![
-                FaultAction::CrashBefore,
-                FaultAction::CrashAfter,
-                FaultAction::Fail,
-            ],
-            other => mcsd_core::chaos::default_actions(other),
-        }
-    }
-
-    fn run_segment(
-        &self,
-        segment: usize,
-        injector: &mcsd_core::FaultInjector,
-    ) -> Result<mcsd_core::ChaosObservation, mcsd_core::McsdError> {
-        match segment {
-            0 => self.saturation(injector),
-            1 => self.breaker(injector),
-            2 => self.retry(injector),
-            _ => self.admission(injector),
-        }
-    }
-}
-
 /// Time one clean pass of every four-phase segment. `probe` selects a
 /// counting (probing) injector versus a plain one — the difference is
 /// the discovery pass's overhead, recorded in `BENCH_8.json`.
@@ -1256,7 +590,7 @@ fn chaos_clean_pass(seed: u64, probe: bool) -> (f64, u64) {
     use mcsd_core::{chaos, ChaosScenario, FaultInjector, FaultSite};
     use std::time::Instant;
 
-    let scenario = FourPhaseScenario { seed };
+    let scenario = FourPhaseScenario::new(seed);
     let t0 = Instant::now();
     let mut points = 0u64;
     for segment in 0..scenario.segment_names().len() {
@@ -1299,7 +633,7 @@ fn chaos_run(seed: u64) {
         .expect("replication sweep");
     println!("{}", replication.render_table());
     let four =
-        chaos::run_sweep(&FourPhaseScenario { seed }, seed, &tracer).expect("four-phase sweep");
+        chaos::run_sweep(&FourPhaseScenario::new(seed), seed, &tracer).expect("four-phase sweep");
     println!("{}", four.render_table());
     let batched = chaos::run_sweep(&BatchedEchoScenario::new(seed, &dir), seed, &tracer)
         .expect("batched sweep");
@@ -1604,7 +938,7 @@ fn main() {
     // this a demo, not a figure.
     if which.iter().any(|w| w == "overload") {
         println!("## Overload protection — breaker steering and memory admission\n");
-        overload_demo();
+        narrate_segments(&FourPhaseScenario::new(40), &[1, 3]);
     }
     // Excluded from `all`: writes trace files into the working directory.
     if which.iter().any(|w| w == "trace") {
@@ -1619,7 +953,7 @@ fn main() {
     }
     // Excluded from `all`: a timing baseline, not a paper figure.
     if which.iter().any(|w| w == "throughput") {
-        println!("## Throughput baseline — seeded four-phase scenario (seed {seed})\n");
+        println!("## Throughput baseline — degraded mode, chaos pass, rack, batched daemon (seed {seed})\n");
         throughput_run(seed, json);
     }
     // Excluded from `all`: an exhaustive robustness audit (tens of

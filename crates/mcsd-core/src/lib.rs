@@ -69,8 +69,8 @@ pub mod scenario;
 pub use admission::{plan_admission, AdmissionPlan, AdmissionRefusal};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use chaos::{
-    run_sweep, ChaosObservation, ChaosReport, ChaosScenario, ConservationCheck, Invariant,
-    ReplicationRoundsScenario, Violation,
+    run_sweep, ChaosObservation, ChaosReport, ChaosScenario, ConservationCheck, FourPhaseScenario,
+    Invariant, ReplicationRoundsScenario, SegmentRun, Violation,
 };
 pub use des::{synthesize_workload, DesConfig, DesJob, RackRun, DES_TRACE_TRACK};
 pub use driver::{ExecMode, NodeRunReport, NodeRunner};

@@ -10,14 +10,21 @@
 //! * **determinism** — two runs of the same seeded scenario export
 //!   byte-identical JSON-lines traces, and every span/event name that
 //!   reaches the export is present in the `mcsd_obs::names` catalog.
+//!
+//! The last test pins the same guarantee for the whole four-phase
+//! scenario `mcsd-experiments trace` exports, in process.
 
 use mcsd_apps::TextGen;
 use mcsd_cluster::{paper_testbed, Cluster, Scale};
+use mcsd_core::chaos;
 use mcsd_core::{
-    BreakerConfig, FaultAction, FaultInjector, FaultPlan, FaultSite, McsdFramework,
-    OffloadDecision, OffloadPolicy, ResilienceConfig,
+    BreakerConfig, ChaosScenario, FaultAction, FaultInjector, FaultPlan, FaultSite,
+    FourPhaseScenario, McsdFramework, OffloadDecision, OffloadPolicy, ResilienceConfig,
+    ResilienceStats,
 };
-use mcsd_obs::Tracer;
+use mcsd_obs::export::{jsonl_with, JsonlOptions};
+use mcsd_obs::{MetricsRegistry, Tracer};
+use mcsd_smartfam::DaemonStats;
 use std::time::Duration;
 
 fn cluster() -> Cluster {
@@ -176,4 +183,60 @@ fn repartition_and_staging_show_up_in_the_trace() {
     assert!(trace.contains("\"name\":\"cluster.stage\""));
     assert!(trace.contains("\"file\":\"big.txt\""));
     assert!(trace.contains(&format!("\"bytes\":\"{}\"", text.len())));
+}
+
+/// The `mcsd-experiments trace` export of the four-phase scenario: every
+/// segment under its baked plan on one tracer, plus the summed daemon and
+/// resilience counters. Asserts each segment's clean run is free of
+/// invariant violations.
+fn four_phase_export(seed: u64) -> String {
+    let tracer = Tracer::enabled();
+    let scenario = FourPhaseScenario::new(seed).with_tracer(tracer.clone());
+    let mut daemon = DaemonStats::default();
+    let mut resilience = ResilienceStats::default();
+    for (segment, name) in scenario.segment_names().iter().enumerate() {
+        let injector = FaultInjector::new(scenario.baked_plan(segment));
+        let run = scenario.run(segment, &injector).unwrap();
+        let violations = chaos::evaluate(&run.observation);
+        assert!(violations.is_empty(), "{name}: {violations:?}");
+        daemon.absorb(&run.daemon);
+        resilience.absorb(&run.resilience);
+    }
+    let registry = MetricsRegistry::new();
+    daemon.publish(&registry).unwrap();
+    resilience.publish(&registry).unwrap();
+    jsonl_with(
+        &tracer,
+        JsonlOptions {
+            include_volatile: false,
+            metrics: Some(&registry),
+        },
+    )
+}
+
+/// The trace pin CI diffs across processes, checked in process: two
+/// four-phase runs at seed 42 export the same bytes, and every name in
+/// them is cataloged.
+#[test]
+fn four_phase_trace_replays_byte_identical() {
+    let first = four_phase_export(42);
+    let second = four_phase_export(42);
+    assert_eq!(
+        first, second,
+        "same-seed four-phase traces must be byte-identical (DESIGN.md §12)"
+    );
+    let mut saw = 0;
+    for line in first.lines() {
+        if let Some(name) = name_field(line) {
+            assert!(
+                mcsd_obs::names::is_cataloged(name),
+                "emitted name {name:?} missing from the mcsd_obs::names catalog"
+            );
+            saw += 1;
+        }
+    }
+    assert!(
+        saw > 100,
+        "expected the full four-phase trace, got {saw} records"
+    );
 }
