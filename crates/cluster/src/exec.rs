@@ -69,7 +69,9 @@ impl NodeExecutor {
     /// Virtual compute time of a run measured at `wall` with
     /// `workers_used` threads: reconstruct the total work from the
     /// machine's real concurrency, then divide by the emulated node's
-    /// speed and effective parallelism (see the module docs).
+    /// speed and effective parallelism (see the module docs). The result is
+    /// antitone in `workers_used` at equal work, not at equal wall: equal
+    /// wall is equal work only on a one-core host.
     pub fn virtual_compute(&self, wall: Duration, workers_used: usize) -> Duration {
         debug_assert!(self.spec.core_speed > 0.0);
         let concurrency = workers_used.max(1).min(machine_cores());
@@ -149,16 +151,17 @@ mod tests {
 
     #[test]
     fn virtual_compute_models_parallel_speedup() {
-        // On any machine, the same measured wall with more emulated
-        // workers must report at most the single-worker virtual time, and
-        // on a single-core machine exactly work/effective_parallelism.
+        // On any machine, the same work (wall × min(workers,
+        // machine_cores())) with more emulated workers must report at most
+        // the single-worker virtual time, and on a single-core machine
+        // exactly work/effective_parallelism.
         let e = NodeExecutor::new(NodeSpec::paper_host(NodeId(0), 8 << 20));
-        let wall = Duration::from_millis(100);
-        let v1 = e.virtual_compute(wall, 1);
-        let v4 = e.virtual_compute(wall, 4);
+        let work = Duration::from_millis(100);
+        let v1 = e.virtual_compute(work, 1);
+        let v4 = e.virtual_compute(work / 4usize.min(machine_cores()) as u32, 4);
         assert!(v4 <= v1);
         if machine_cores() == 1 {
-            let expect = wall.as_secs_f64() / effective_parallelism(4);
+            let expect = work.as_secs_f64() / effective_parallelism(4);
             assert!((v4.as_secs_f64() - expect).abs() < 1e-9);
         }
     }
